@@ -25,8 +25,8 @@ import numpy as np
 
 from . import serialize as se
 from .circle import diffeo_from_spec, fermion_polarization, grunsky, torus_period
-from .errors import DomainError, FormatError, PolargrassError
-from .fock import adjoint_residual, build_fock, car_check, vacuum_cyclicity_rank
+from .errors import DimensionGuard, DomainError, FormatError, PolargrassError
+from .fock import MAX_MODES, build_fock, generator_residuals, vacuum_cyclicity_rank
 from .linalg import (
     DEFAULT_TOL,
     Frame,
@@ -278,8 +278,10 @@ def _verb_fock_car(obj, opts: Options) -> dict:
         if obj["model"] != "fermion":
             raise FormatError(f'only the "fermion" model is built in, got {obj["model"]!r}')
         N = opts.cutoff if opts.cutoff is not None else obj.get("cutoff", 3)
-        if not isinstance(N, int) or N < 0:
+        if isinstance(N, bool) or not isinstance(N, int) or N < 0:
             raise FormatError("cutoff must be a nonnegative integer")
+        if N + 1 > MAX_MODES:
+            raise DimensionGuard(f"cutoff {N} gives {N + 1} modes, above the cap {MAX_MODES}")
         pol = fermion_polarization(N)
         inputs = {"model": "fermion", "cutoff": N}
     else:
@@ -289,12 +291,7 @@ def _verb_fock_car(obj, opts: Options) -> dict:
         pol = OrthogonalPolarization(complexify(t), w)
         inputs = {"dim": t.dim}
     rep = build_fock(pol)
-    gens = [rep.frame[:, k] for k in range(rep.n)]
-    gens += [np.conj(g) for g in gens]
-    car = max(
-        (car_check(rep, v, w) for v in gens for w in gens), default=0.0
-    )
-    adjoint = max((adjoint_residual(rep, g) for g in gens), default=0.0)
+    car, adjoint = generator_residuals(rep)
     vac = max(
         (float(np.linalg.norm(rep.annihilation[k] @ rep.vacuum)) for k in range(rep.n)),
         default=0.0,

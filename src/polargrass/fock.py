@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import DimensionGuard, DimensionMismatch
+from .errors import DimensionGuard, DimensionMismatch, InvariantViolation
 from .linalg import DEFAULT_TOL, Tolerances
 from .polarization import (
     ComplexifiedSpace,
@@ -43,11 +43,15 @@ __all__ = [
     "build_fock",
     "car_check",
     "adjoint_residual",
+    "generator_residuals",
     "vacuum_cyclicity_rank",
     "equivalence_certificate",
 ]
 
-#: Largest mode count accepted by :func:`build_fock` (keeps 2^n <= 4096).
+#: Largest mode count accepted by :func:`build_fock`.  ``fock-car`` checks
+#: exhaustively: ``n(2n+1)`` products of ``2^n``-square sparse matrices and
+#: ``2^n`` creation words, so its cost grows like ``n^2 2^n``; at the cap one
+#: call takes about half a second on a 2-vCPU machine.
 MAX_MODES = 12
 
 
@@ -119,6 +123,11 @@ class FockRep:
     its exact adjoint and represents the conjugate frame vector.  The
     linear extension :meth:`represent` sends any ambient vector
     ``v = W p + conj(W) q`` to ``sum p_k creation[k] + q_k annihilation[k]``.
+
+    As built by :func:`build_fock`, every ``creation[k]`` is a signed
+    partial permutation (entries 0 or +-1, at most one per row and
+    column); :func:`vacuum_cyclicity_rank` relies on this and raises if a
+    hand-built representation breaks it.
     """
 
     space: FockSpace
@@ -209,21 +218,69 @@ def adjoint_residual(rep: FockRep, y: np.ndarray) -> float:
     return _frobenius((lhs - rhs).tocsr())
 
 
+def generator_residuals(rep: FockRep) -> tuple[float, float]:
+    """Worst CAR and adjoint residuals over the frame generators.
+
+    The generators are the frame vectors ``f_k`` and their conjugates,
+    ordered so that generator ``k + n`` is ``conj(f_k)``.  Each is
+    represented once.  The anticommutator and the pairing are symmetric,
+    so each unordered pair is formed once; the adjoint of generator ``k``
+    is compared with the stored representation of generator ``k + n``.
+    Agrees with the maxima of :func:`car_check` over all ordered pairs
+    and of :func:`adjoint_residual` over all generators.
+    """
+    n = rep.n
+    gens = np.concatenate([rep.frame, np.conj(rep.frame)], axis=1).T
+    reps = [rep.represent(g) for g in gens]
+    pairing = gens @ rep.ambient.G @ gens.T
+    one = sparse.identity(rep.dim, dtype=np.complex128, format="csr")
+    car = max(
+        _frobenius(reps[i] @ reps[j] + reps[j] @ reps[i] - pairing[i, j] * one)
+        for i in range(2 * n)
+        for j in range(i, 2 * n)
+    )
+    adjoint = max(
+        _frobenius((reps[k] - reps[k + n].conj().T).tocsr()) for k in range(n)
+    )
+    return car, adjoint
+
+
 def vacuum_cyclicity_rank(rep: FockRep) -> int:
     """Rank of the span of iterated creations applied to the vacuum.
 
-    Applies every square-free creation word (descending mode order) to
-    the vacuum and returns the numerical rank of the resulting family;
-    cyclicity means this equals ``2^n``.
+    Cyclicity means the rank equals ``2^n``.  The vector of the creation
+    word ``m`` (modes applied in descending order) is built from that of
+    its prefix by one matvec, ``vec[m] = creation[low] @ vec[m ^ low]``
+    with ``low`` the lowest set bit of ``m``.  Since every creation
+    matrix is a signed partial permutation, each vector is exactly a
+    unit multiple of one basis vector, and the rank is exactly the
+    number of distinct supports; only the support and the unit are
+    kept, never the ``2^n``-square family.
+
+    Raises
+    ------
+    InvariantViolation
+        If some word's vector is not a unit multiple of one basis vector,
+        which a representation from :func:`build_fock` never gives.
     """
-    columns = np.empty((rep.dim, rep.dim), dtype=np.complex128)
-    for m in range(rep.dim):
-        vec = rep.vacuum
-        for k in range(rep.n - 1, -1, -1):
-            if m >> k & 1:
-                vec = rep.creation[k] @ vec
-        columns[:, m] = vec
-    return int(np.linalg.matrix_rank(columns))
+    # the empty word leaves the vacuum, basis vector 0
+    support = np.zeros(rep.dim, dtype=np.int64)
+    unit = np.ones(rep.dim, dtype=np.complex128)
+    prefix = np.zeros(rep.dim, dtype=np.complex128)
+    for m in range(1, rep.dim):
+        low = m & -m
+        prev = m ^ low
+        prefix[support[prev]] = unit[prev]
+        vec = rep.creation[low.bit_length() - 1] @ prefix
+        prefix[support[prev]] = 0.0
+        nonzero = np.flatnonzero(vec)
+        if nonzero.size != 1 or abs(vec[nonzero[0]]) != 1.0:
+            raise InvariantViolation(
+                f"creation word {m} does not map the vacuum to a unit basis vector"
+            )
+        support[m] = nonzero[0]
+        unit[m] = vec[nonzero[0]]
+    return int(np.unique(support).size)
 
 
 def equivalence_certificate(

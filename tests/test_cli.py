@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from polargrass import cli
 from polargrass.cli import main
 from polargrass.linalg import Frame
 from polargrass.polarization import complexify, eigensplit
@@ -238,6 +239,31 @@ class TestFockVerb:
     def test_unknown_model(self, runner, tmp_path):
         result = invoke(runner, tmp_path, "fock-car", {"model": "boson"})
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize(
+        "payload, flags",
+        [
+            ({"model": "fermion", "cutoff": 12}, ()),
+            ({"model": "fermion", "cutoff": 10**9}, ()),
+            ({"model": "fermion"}, ("--cutoff", "100000")),
+        ],
+    )
+    def test_cutoff_above_cap_is_guarded_before_building(
+        self, runner, tmp_path, monkeypatch, payload, flags
+    ):
+        def refuse(N):
+            raise AssertionError(f"fermion_polarization({N}) built before the guard")
+
+        monkeypatch.setattr(cli, "fermion_polarization", refuse)
+        result = invoke(runner, tmp_path, "fock-car", payload, *flags)
+        assert result.exit_code == 2
+        assert report_of(result)["error"] == "DimensionGuard"
+
+    @pytest.mark.parametrize("cutoff", [True, False, -1, 2.5, "3"])
+    def test_cutoff_must_be_an_integer(self, runner, tmp_path, cutoff):
+        result = invoke(runner, tmp_path, "fock-car", {"model": "fermion", "cutoff": cutoff})
+        assert result.exit_code == 1
+        assert report_of(result)["error"] == "FormatError"
 
 
 class TestReportSuite:

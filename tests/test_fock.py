@@ -1,11 +1,16 @@
 """Clifford representations on finite Fock spaces: anticommutation,
 adjoints, vacuum cyclicity, equivalence certificates."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from polargrass.circle import fermion_polarization
-from polargrass.errors import DimensionGuard, DimensionMismatch
+from polargrass.cli import CAR_TOL, Options, run_verb
+from polargrass.errors import DimensionGuard, DimensionMismatch, InvariantViolation
 from polargrass.fock import (
     MAX_MODES,
     FockSpace,
@@ -14,10 +19,14 @@ from polargrass.fock import (
     car_check,
     creation_matrix,
     equivalence_certificate,
+    generator_residuals,
     vacuum_cyclicity_rank,
 )
 from polargrass.linalg import Frame
-from polargrass.polarization import OrthogonalPolarization
+from polargrass.polarization import OrthogonalPolarization, complexify, eigensplit
+from polargrass.sampling import random_orthogonal
+from polargrass.serialize import frame_to_json, triple_to_json
+from polargrass.triples import standard_triple
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +174,116 @@ class TestAdjointAndCyclicity:
 
     def test_vacuum_cyclic_four_modes(self):
         assert vacuum_cyclicity_rank(build_fock(fermion_polarization(3))) == 16
+
+
+def dense_word_family(rep):
+    """Columns ``c_{k_1} ... c_{k_r} |vac>`` for every mode subset, built
+    densely with the modes applied in descending order."""
+    creation = [c.toarray() for c in rep.creation]
+    cols = np.empty((rep.dim, rep.dim), dtype=np.complex128)
+    for m in range(rep.dim):
+        vec = rep.vacuum
+        for k in range(rep.n - 1, -1, -1):
+            if m >> k & 1:
+                vec = creation[k] @ vec
+        cols[:, m] = vec
+    return cols
+
+
+class TestCyclicityCertificate:
+    @pytest.mark.parametrize("modes", range(1, 8))
+    def test_matches_dense_rank(self, modes):
+        rep = build_fock(fermion_polarization(modes - 1))
+        dense = int(np.linalg.matrix_rank(dense_word_family(rep)))
+        assert dense == rep.dim
+        assert vacuum_cyclicity_rank(rep) == dense
+
+    def test_repeated_creator_is_rejected(self):
+        # c1 twice: the word {0, 1} sends the vacuum to c1 c1 |vac> = 0
+        rep = build_fock(fermion_polarization(3))
+        c1 = rep.creation[1]
+        tampered = dataclasses.replace(rep, creation=(c1,) * rep.n)
+        with pytest.raises(InvariantViolation):
+            vacuum_cyclicity_rank(tampered)
+
+    def test_non_unit_entry_is_rejected(self):
+        rep = build_fock(fermion_polarization(2))
+        scaled = (2.0 * rep.creation[0],) + rep.creation[1:]
+        with pytest.raises(InvariantViolation):
+            vacuum_cyclicity_rank(dataclasses.replace(rep, creation=scaled))
+
+    def test_repeated_supports_lower_the_rank(self):
+        # a full permutation swapping 0 <-> 1 and 2 <-> 3 for both modes:
+        # the words land on e1, e1, e0 after the vacuum, so two supports
+        rep = build_fock(fermion_polarization(1))
+        swap = sparse.csr_matrix(
+            np.eye(4, dtype=np.complex128)[[1, 0, 3, 2]]
+        )
+        tampered = dataclasses.replace(rep, creation=(swap, swap))
+        assert vacuum_cyclicity_rank(tampered) == 2
+        assert int(np.linalg.matrix_rank(dense_word_family(tampered))) == 2
+
+
+def rotated_frame_rep(n, seed):
+    """Fock representation of a rotated standard polarization of R^2n,
+    returned with the triple + frame input that ``fock-car`` reads."""
+    rng = np.random.default_rng(seed)
+    t = standard_triple(n)
+    w = random_orthogonal(2 * n, rng) @ eigensplit(complexify(t)).lplus
+    pol = OrthogonalPolarization(complexify(t), Frame(w))
+    return build_fock(pol), {"triple": triple_to_json(t), "frame": frame_to_json(Frame(w))}
+
+
+class TestGeneratorResiduals:
+    @staticmethod
+    def pairwise(rep):
+        gens = generators(rep)
+        car = max(car_check(rep, v, w) for v in gens for w in gens)
+        return car, max(adjoint_residual(rep, g) for g in gens)
+
+    @pytest.mark.parametrize("modes", [3, 4, 5])
+    def test_fermion_agrees_with_pairwise(self, modes):
+        rep = build_fock(fermion_polarization(modes - 1))
+        car, adjoint = generator_residuals(rep)
+        ref_car, ref_adjoint = self.pairwise(rep)
+        assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
+        assert max(car, adjoint, ref_car, ref_adjoint) <= CAR_TOL
+
+    def test_tampered_rep_agrees_with_pairwise(self):
+        # creation[0] + annihilation[0] squares to the identity, so the
+        # diagonal pair (f_0, f_0) and the adjoint of f_0 fail by O(1)
+        rep = build_fock(fermion_polarization(3))
+        bad = (rep.creation[0] + rep.annihilation[0],) + rep.creation[1:]
+        tampered = dataclasses.replace(rep, creation=bad)
+        car, adjoint = generator_residuals(tampered)
+        ref_car, ref_adjoint = self.pairwise(tampered)
+        assert car == pytest.approx(2.0 * np.sqrt(16)) and adjoint == pytest.approx(np.sqrt(8))
+        assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
+
+    @pytest.mark.parametrize("modes", [3, 4, 5])
+    def test_rotated_frame_agrees_with_pairwise(self, modes):
+        rep, inp = rotated_frame_rep(modes, 400 + modes)
+        # every column of the g-orthonormal frame mixes many coordinates
+        assert np.all(np.count_nonzero(np.abs(rep.frame) > 1e-6, axis=0) > 2)
+        car, adjoint = generator_residuals(rep)
+        ref_car, ref_adjoint = self.pairwise(rep)
+        assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
+        assert max(car, adjoint, ref_car, ref_adjoint) <= CAR_TOL
+        report, code = run_verb("fock-car", inp, Options())
+        assert code == 0, report
+        assert report["residuals"]["car_max"] == car
+        assert report["outputs"]["cyclicity_rank"] == rep.dim
+
+
+def test_fock_car_at_mode_cap():
+    t0 = time.perf_counter()
+    report, code = run_verb("fock-car", {"model": "fermion", "cutoff": MAX_MODES - 1}, Options())
+    elapsed = time.perf_counter() - t0
+    assert code == 0, report
+    assert report["pass"] is True
+    assert report["outputs"] == {"modes": 12, "dim": 4096, "cyclicity_rank": 4096}
+    assert max(report["residuals"].values()) <= CAR_TOL
+    assert elapsed < 15.0
 
 
 def rotate_pairs(pol, angles):
