@@ -15,6 +15,8 @@ the zero mode is excluded throughout.
 
 from __future__ import annotations
 
+import cmath
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -29,22 +31,20 @@ from .errors import (
     NotIncreasing,
     NotUpperHalf,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Frame,
-    Tolerances,
-    hs_norm,
-    op_norm,
-    smallest_singular_value,
-)
+from .linalg import Frame, check_invertible, hs_norm, right_divide
 from .polarization import (
     ComplexifiedSpace,
     EigenSplit,
     OrthogonalPolarization,
     complexify,
 )
+from .serialize import _check_keys, _entry
 from .siegel import BlockSymplectic, SiegelPoint, UpperHalfPoint
 from .triples import BilinearForm, CompatibleTriple, ComplexStructure
+
+#: Relative sigma_min floor for the diagonal block ``a`` of a composition operator.
+_BLOCK_RCOND = 1e-8
+_SINGULAR_BLOCK = "diagonal block of the composition operator is singular"
 
 
 def boson_triple(N: int) -> CompatibleTriple:
@@ -231,24 +231,42 @@ def compose_diffeos(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
     )
 
 
+#: The one parameter key each diffeo kind takes besides ``kind`` (``diffeo.v1``).
+_DIFFEO_KEYS = {"rotation": "delta", "mobius": "a", "fourier_flow": "coeffs"}
+
+
 def diffeo_from_spec(spec: dict) -> CircleDiffeo:
-    """Build a diffeomorphism from its JSON description."""
+    """Build a diffeomorphism from its JSON description (``diffeo.v1``).
+
+    Raises FormatError for an unknown kind, a missing or foreign key, or an
+    entry of the wrong type.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise FormatError("diffeo spec must be an object with a 'kind' key")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _DIFFEO_KEYS:
+        raise FormatError(f"unknown diffeo kind {kind!r}")
+    key = _DIFFEO_KEYS[kind]
+    _check_keys(spec, ("kind", key))
+    value = spec[key]
     if kind == "rotation":
-        return rotation_diffeo(spec["delta"])
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (real and abs(value) <= sys.float_info.max):
+            raise FormatError(f"delta must be a finite number, got {value!r}")
+        return rotation_diffeo(value)
     if kind == "mobius":
-        re, im = spec["a"]
-        return mobius_diffeo(complex(re, im))
-    if kind == "fourier_flow":
-        return fourier_flow_diffeo([(k, amp) for k, amp in spec["coeffs"]])
-    raise FormatError(f"unknown diffeo kind {kind!r}")
+        if not cmath.isfinite(a := _entry(value)):
+            raise FormatError(f"a must be finite, got {value!r}")
+        return mobius_diffeo(a)
+    if not isinstance(value, list):
+        raise FormatError(f"coeffs must be a list of [k, amp] pairs, got {value!r}")
+    for pair in value:
+        if not cmath.isfinite(_entry(pair)) or not isinstance(pair[0], int):
+            raise FormatError(f"coeffs need finite [k, amp] pairs with integer k, got {pair!r}")
+    return fourier_flow_diffeo(value)
 
 
-def composition_operator(
-    phi: CircleDiffeo, N: int, K: int | None = None, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.ndarray:
     """Matrix of ``f -> f o phi`` on modes (-N..-1, 1..N) by quadrature.
 
     Entry (m, n) is the m-th Fourier coefficient of ``exp(i n phi)``,
@@ -307,14 +325,11 @@ class CompositionBlocks:
     def transform(self, Z: np.ndarray) -> np.ndarray:
         """Disk action ``Z -> (b + conj(a) Z)(a + conj(b) Z)^{-1}``."""
         den = self.a + self.b.conj() @ Z
-        if smallest_singular_value(den) <= 1e-10 * max(1.0, op_norm(den)):
-            raise BlockSingular("transform denominator is singular")
-        return np.linalg.solve(den.T, (self.b + self.a.conj() @ Z).T).T
+        return right_divide(self.b + self.a.conj() @ Z, den, 1e-10, BlockSingular,
+                            "transform denominator is singular")
 
 
-def composition_blocks(
-    phi: CircleDiffeo, N: int, K: int | None = None, tol: Tolerances = DEFAULT_TOL
-) -> CompositionBlocks:
+def composition_blocks(phi: CircleDiffeo, N: int, K: int | None = None) -> CompositionBlocks:
     """Paired blocks of the truncated composition operator.
 
     Raises
@@ -323,21 +338,14 @@ def composition_blocks(
         If the diagonal block is numerically singular.
     """
     model = BosonModel(N)
-    C = model.to_real(composition_operator(phi, N, K, tol))
+    C = model.to_real(composition_operator(phi, N, K))
     M = model.split.compress(C)
     a, b = M[:N, :N], M[N:, :N]
-    if smallest_singular_value(a) <= 1e-8 * max(1.0, op_norm(a)):
-        raise BlockSingular("diagonal block of the composition operator is singular")
+    check_invertible(a, _BLOCK_RCOND, BlockSingular, _SINGULAR_BLOCK)
     return CompositionBlocks(a, b)
 
 
-def grunsky(
-    phi: CircleDiffeo,
-    N: int,
-    K: int | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-    atol: float = 1e-6,
-) -> SiegelPoint:
+def grunsky(phi: CircleDiffeo, N: int, K: int | None = None, atol: float = 1e-6) -> SiegelPoint:
     """Grunsky-type Siegel point of a circle diffeomorphism at cutoff N.
 
     ``Z = b a^{-1}`` for the paired blocks of the composition operator;
@@ -350,8 +358,8 @@ def grunsky(
     BlockSingular
         If the diagonal block is singular (pathological input).
     """
-    blocks = composition_blocks(phi, N, K, tol=tol)
-    Z = np.linalg.solve(blocks.a.T, blocks.b.T).T
+    blocks = composition_blocks(phi, N, K)
+    Z = right_divide(blocks.b, blocks.a, _BLOCK_RCOND, BlockSingular, _SINGULAR_BLOCK)
     return SiegelPoint(Z, atol=atol)
 
 
@@ -403,7 +411,7 @@ class TorusPeriodReport:
         }
 
 
-def torus_period(tau: complex, tol: Tolerances = DEFAULT_TOL) -> TorusPeriodReport:
+def torus_period(tau: complex) -> TorusPeriodReport:
     """Period point of the lattice (1, tau) from explicit cycle integrals.
 
     Integrates the a-normalized harmonic forms ``eta_1 = dx - (tau_1/tau_2) dy``

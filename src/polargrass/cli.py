@@ -25,7 +25,7 @@ import numpy as np
 
 from . import serialize as se
 from .circle import diffeo_from_spec, fermion_polarization, grunsky, torus_period
-from .errors import DimensionGuard, DomainError, FormatError, PolargrassError
+from .errors import DimensionGuard, DomainError, FormatError
 from .fock import MAX_MODES, build_fock, generator_residuals, vacuum_cyclicity_rank
 from .linalg import (
     DEFAULT_TOL,
@@ -35,6 +35,7 @@ from .linalg import (
     min_eig_hermitian,
     op_norm,
     principal_angle_distance,
+    symmetry_deviation,
 )
 from .orthograss import OrthoGraphOperator, chart_graph_columns, find_chart, transition
 from .polarization import OrthogonalPolarization, complexify, eigensplit
@@ -69,16 +70,26 @@ class Options:
     tol: Tolerances = DEFAULT_TOL
     cutoff: int | None = None
     quadrature: int | None = None
-    seed: int | None = None
 
 
-def _make_options(tol_eq, tol_spd, cutoff=None, quadrature=None, seed=None) -> Options:
+def _make_options(tol_eq, tol_spd, cutoff=None, quadrature=None) -> Options:
     tol = DEFAULT_TOL
     if tol_eq is not None:
         tol = dataclasses.replace(tol, eq_tol=float(tol_eq))
     if tol_spd is not None:
         tol = dataclasses.replace(tol, spd_tol=float(tol_spd))
-    return Options(tol=tol, cutoff=cutoff, quadrature=quadrature, seed=seed)
+    return Options(tol=tol, cutoff=cutoff, quadrature=quadrature)
+
+
+def _int_option(obj: dict, opts: Options, key: str, default: int, least: int) -> int:
+    """``cutoff``/``quadrature``: the option if set, else the input's key,
+    else ``default``; an integer (not a boolean) of at least ``least``."""
+    value = getattr(opts, key)
+    if value is None:
+        value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise FormatError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +154,7 @@ def _verb_triple_complete(obj, opts: Options) -> dict:
 
 def _verb_polarize(obj, opts: Options) -> dict:
     t = se.triple_from_json(obj)
-    space = complexify(t, opts.tol)
+    space = complexify(t)
     split = eigensplit(space, tol=opts.tol)
     L = split.lplus
     eye = np.eye(split.n)
@@ -180,7 +191,7 @@ def _verb_siegel_member(obj, opts: Options) -> dict:
     }
 
 
-def _verb_siegel_act(obj, opts: Options) -> dict:
+def _verb_siegel_act(obj) -> dict:
     se._check_keys(obj, ("a", "b", "Z"))
     a = se.matrix_from_json(obj["a"])
     b = se.matrix_from_json(obj["b"])
@@ -188,12 +199,12 @@ def _verb_siegel_act(obj, opts: Options) -> dict:
     if isinstance(p, UpperHalfPoint):
         raise FormatError("siegel-act moves disk-model points; convert first")
     u = BlockSymplectic(a, b)
-    q = mobius_act(u, p, opts.tol)
+    q = mobius_act(u, p)
     return {
         "verb": "siegel-act",
         "inputs": {"n": u.n},
         "residuals": {
-            "result_symmetry": hs_norm(q.Z - q.Z.T),
+            "result_symmetry": symmetry_deviation(q.Z),
             "result_opnorm": op_norm(q.Z),
         },
         "pass": True,
@@ -203,25 +214,23 @@ def _verb_siegel_act(obj, opts: Options) -> dict:
 
 def _verb_grunsky(obj, opts: Options) -> dict:
     se._check_keys(obj, ("diffeo",), ("cutoff", "quadrature"))
-    N = opts.cutoff or obj.get("cutoff") or 32
-    K = opts.quadrature or obj.get("quadrature") or 16 * N
-    if not isinstance(N, int) or not isinstance(K, int) or N < 1 or K < 1:
-        raise FormatError("cutoff and quadrature must be positive integers")
+    N = _int_option(obj, opts, "cutoff", 32, 1)
+    K = _int_option(obj, opts, "quadrature", 16 * N, 1)
     phi = diffeo_from_spec(obj["diffeo"])
-    p = grunsky(phi, N, K, tol=opts.tol)
+    p = grunsky(phi, N, K)
     return {
         "verb": "grunsky",
         "inputs": {"kind": obj["diffeo"].get("kind"), "cutoff": N, "quadrature": K},
         "residuals": {
             "z_opnorm": op_norm(p.Z),
-            "symmetry_residual": hs_norm(p.Z - p.Z.T),
+            "symmetry_residual": symmetry_deviation(p.Z),
         },
         "pass": True,
         "outputs": {"Z": se.disk_point_to_json(p)},
     }
 
 
-def _verb_chart_find(obj, opts: Options) -> dict:
+def _verb_chart_find(obj) -> dict:
     se._check_keys(obj, ("frame",))
     w = se.frame_from_json(obj["frame"])
     if w.ambient_dim != 2 * w.rank:
@@ -231,7 +240,7 @@ def _verb_chart_find(obj, opts: Options) -> dict:
     from .triples import standard_triple
 
     split = eigensplit(complexify(standard_triple(w.rank)))
-    found = find_chart(w, split, opts.tol)
+    found = find_chart(w, split)
     cols = chart_graph_columns(split, found.S, found.Z)
     recon = principal_angle_distance(Frame.from_columns(cols), w)
     return {
@@ -239,7 +248,7 @@ def _verb_chart_find(obj, opts: Options) -> dict:
         "inputs": {"n": w.rank},
         "residuals": {
             "reconstruction": recon,
-            "z_antisymmetry": hs_norm(found.Z.Z + found.Z.Z.T),
+            "z_antisymmetry": symmetry_deviation(found.Z.Z, -1.0),
         },
         "pass": bool(recon <= CHART_RECONSTRUCTION_TOL),
         "outputs": {
@@ -250,15 +259,15 @@ def _verb_chart_find(obj, opts: Options) -> dict:
     }
 
 
-def _verb_chart_transition(obj, opts: Options) -> dict:
+def _verb_chart_transition(obj) -> dict:
     se._check_keys(obj, ("Z", "source", "target"), ("atol",))
     atol = obj.get("atol", 1e-10)
-    if not isinstance(atol, (int, float)) or isinstance(atol, bool) or atol <= 0:
-        raise FormatError(f"atol must be a positive number, got {atol!r}")
+    if not isinstance(atol, (int, float)) or isinstance(atol, bool) or not 0 < atol < float("inf"):
+        raise FormatError(f"atol must be a positive finite number, got {atol!r}")
     Z1 = OrthoGraphOperator(se.matrix_from_json(obj["Z"]), atol=float(atol))
     S1 = se.chart_index_from_json(obj["source"])
     S2 = se.chart_index_from_json(obj["target"])
-    Z2 = transition(S1, S2, Z1, opts.tol)
+    Z2 = transition(S1, S2, Z1)
     return {
         "verb": "chart-transition",
         "inputs": {
@@ -266,7 +275,7 @@ def _verb_chart_transition(obj, opts: Options) -> dict:
             "source": se.chart_index_to_json(S1),
             "target": se.chart_index_to_json(S2),
         },
-        "residuals": {"z_antisymmetry": hs_norm(Z2.Z + Z2.Z.T)},
+        "residuals": {"z_antisymmetry": symmetry_deviation(Z2.Z, -1.0)},
         "pass": True,
         "outputs": {"Z": se.matrix_to_json(Z2.Z)},
     }
@@ -277,9 +286,7 @@ def _verb_fock_car(obj, opts: Options) -> dict:
         se._check_keys(obj, ("model",), ("cutoff",))
         if obj["model"] != "fermion":
             raise FormatError(f'only the "fermion" model is built in, got {obj["model"]!r}')
-        N = opts.cutoff if opts.cutoff is not None else obj.get("cutoff", 3)
-        if isinstance(N, bool) or not isinstance(N, int) or N < 0:
-            raise FormatError("cutoff must be a nonnegative integer")
+        N = _int_option(obj, opts, "cutoff", 3, 0)
         if N + 1 > MAX_MODES:
             raise DimensionGuard(f"cutoff {N} gives {N + 1} modes, above the cap {MAX_MODES}")
         pol = fermion_polarization(N)
@@ -311,10 +318,10 @@ def _verb_fock_car(obj, opts: Options) -> dict:
     }
 
 
-def _verb_torus_period(obj, opts: Options) -> dict:
+def _verb_torus_period(obj) -> dict:
     se._check_keys(obj, ("tau",))
     tau = se._entry(obj["tau"])
-    rep = torus_period(tau, opts.tol)
+    rep = torus_period(tau)
     residuals = dict(rep.residuals)
     return {
         "verb": "torus-period",
@@ -341,6 +348,12 @@ _HANDLERS = {
     "torus-period": _verb_torus_period,
 }
 
+#: Verbs whose handler reads ``Options``: the tolerances reach the first four,
+#: the cutoff and quadrature the last two; the others take only the input.
+_OPTION_VERBS = frozenset(
+    {"triple-verify", "triple-complete", "polarize", "siegel-member", "grunsky", "fock-car"}
+)
+
 _HELP = {
     "triple-verify": "Check the three compatibility identities of (g, J, omega).",
     "triple-complete": "Complete two of g/J/omega to a full compatible triple.",
@@ -363,29 +376,26 @@ def run_verb(verb: str, obj, opts: Options) -> tuple[dict, int]:
     """
     if verb not in _HANDLERS:
         raise FormatError(f"unknown verb {verb!r}")
+    handler = _HANDLERS[verb]
     try:
-        report = _HANDLERS[verb](obj, opts)
+        report = handler(obj, opts) if verb in _OPTION_VERBS else handler(obj)
     except DomainError as exc:
-        report = _error_report(verb, exc, exc.name)
-        return report, 2
-    except FormatError as exc:
-        return _error_report(verb, exc, exc.name), 1
-    except PolargrassError as exc:  # pragma: no cover - defensive
-        return _error_report(verb, exc, exc.name), 1
-    except Exception as exc:  # malformed structures that slipped past checks
-        return _error_report(verb, exc, type(exc).__name__), 1
+        return _error_report(verb, exc), 2
+    except Exception as exc:  # FormatError, or a malformed structure that slipped past checks
+        return _error_report(verb, exc), 1
     report["schema"] = REPORT_SCHEMA
     return report, 0 if report["pass"] else 2
 
 
-def _error_report(verb: str, exc: Exception, name: str) -> dict:
+def _error_report(verb: str, exc: Exception) -> dict:
+    """Failure report; ``error`` is the class name (a ``PolargrassError``'s ``name``)."""
     return {
         "schema": REPORT_SCHEMA,
         "verb": verb,
         "inputs": {},
         "residuals": {},
         "pass": False,
-        "error": name,
+        "error": type(exc).__name__,
         "detail": str(exc),
     }
 
@@ -439,7 +449,6 @@ def run_suite(config: dict, seed_override: int | None = None) -> tuple[dict, int
             scen.get("tol_spd"),
             cutoff=scen.get("cutoff"),
             quadrature=scen.get("quadrature"),
-            seed=scen_seed,
         )
         if "generate" in scen:
             obj = generate_input(scen["generate"], np.random.default_rng(scen_seed))
@@ -515,9 +524,7 @@ def _verb_command(verb: str) -> click.Command:
         try:
             obj = se.load_json(input_path)
         except FormatError as exc:
-            _write_out(
-                _error_report(verb, exc, exc.name), output_path, f"{verb}: error"
-            )
+            _write_out(_error_report(verb, exc), output_path, f"{verb}: error")
             ctx.exit(1)
         opts = _make_options(tol_eq, tol_spd, cutoff=cutoff, quadrature=quadrature)
         report, code = run_verb(verb, obj, opts)

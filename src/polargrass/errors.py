@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-Every domain failure carries a stable ``name`` used verbatim in CLI reports,
-so callers can branch on the failure kind without parsing messages.
+Every domain failure carries a stable ``name``, equal to its class name and
+used verbatim in CLI reports, so callers can branch on the failure kind
+without parsing messages.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 class PolargrassError(Exception):
     """Base class for all errors raised by this package."""
 
-    name = "Error"
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.name = cls.__name__
 
 
 class FormatError(PolargrassError):
@@ -19,8 +22,6 @@ class FormatError(PolargrassError):
     CLI maps this family to exit code 1.
     """
 
-    name = "FormatError"
-
 
 class DomainError(PolargrassError):
     """A mathematically meaningful precondition failed.
@@ -28,109 +29,105 @@ class DomainError(PolargrassError):
     CLI maps this family to exit code 2 and records ``name`` in the report.
     """
 
-    name = "DomainError"
-
 
 class DimensionMismatch(DomainError):
-    name = "DimensionMismatch"
+    pass
 
 
 class NonHermitian(DomainError):
-    name = "NonHermitian"
+    pass
 
 
 class NotPositiveDefinite(DomainError):
-    name = "NotPositiveDefinite"
+    pass
 
 
 class RankMismatch(DomainError):
-    name = "RankMismatch"
+    pass
 
 
 class InvariantViolation(DomainError):
     """A typed object failed one of its construction invariants."""
 
-    name = "InvariantViolation"
-
 
 class NotSkewAdjoint(DomainError):
-    name = "NotSkewAdjoint"
+    pass
 
 
 class NotAComplexStructure(DomainError):
-    name = "NotAComplexStructure"
+    pass
 
 
 class NotPositive(DomainError):
-    name = "NotPositive"
+    pass
 
 
 class NotSkewSymmetric(DomainError):
-    name = "NotSkewSymmetric"
+    pass
 
 
 class SingularTransform(DomainError):
-    name = "SingularTransform"
+    pass
 
 
 class EigenspaceDimension(DomainError):
-    name = "EigenspaceDimension"
+    pass
 
 
 class NotRealizable(DomainError):
-    name = "NotRealizable"
+    pass
 
 
 class NotComplementary(DomainError):
-    name = "NotComplementary"
+    pass
 
 
 class ProjectionSingular(DomainError):
-    name = "ProjectionSingular"
+    pass
 
 
 class NotSymplectic(DomainError):
-    name = "NotSymplectic"
+    pass
 
 
 class NotOrthogonal(DomainError):
-    name = "NotOrthogonal"
+    pass
 
 
 class ShapeViolation(DomainError):
-    name = "ShapeViolation"
+    pass
 
 
 class NumericallySingular(DomainError):
-    name = "NumericallySingular"
+    pass
 
 
 class BoundaryContact(DomainError):
-    name = "BoundaryContact"
+    pass
 
 
 class NotUpperHalf(DomainError):
-    name = "NotUpperHalf"
+    pass
 
 
 class NoPairing(DomainError):
-    name = "NoPairing"
+    pass
 
 
 class OutsideChart(DomainError):
-    name = "OutsideChart"
+    pass
 
 
 class NotIncreasing(DomainError):
-    name = "NotIncreasing"
+    pass
 
 
 class BlockSingular(DomainError):
-    name = "BlockSingular"
+    pass
 
 
 class DimensionGuard(DomainError):
-    name = "DimensionGuard"
+    pass
 
 
 class AliasingRisk(UserWarning):

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DimensionGuard, DimensionMismatch, InvariantViolation
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import freeze
 from .polarization import (
     ComplexifiedSpace,
     OrthogonalPolarization,
@@ -137,7 +137,7 @@ class FockRep:
     annihilation: tuple = field(repr=False)
 
     def __post_init__(self) -> None:
-        self.frame.setflags(write=False)
+        object.__setattr__(self, "frame", freeze(self.frame))
 
     @property
     def n(self) -> int:
@@ -283,23 +283,17 @@ def vacuum_cyclicity_rank(rep: FockRep) -> int:
     return int(np.unique(support).size)
 
 
-def equivalence_certificate(
-    pol1: OrthogonalPolarization,
-    pol2: OrthogonalPolarization,
-    tol: Tolerances = DEFAULT_TOL,
-) -> dict:
+def equivalence_certificate(pol1: OrthogonalPolarization, pol2: OrthogonalPolarization) -> dict:
     """Quantitative comparison of two polarizations of the same space.
 
     Reports the Hilbert-Schmidt size of the block of ``W1`` lying across
     ``alpha(W2)``.  In finite dimension every pair of Fock
-    representations is equivalent, so ``equivalent`` is always true and
-    the norm is the informative part: tracked along a family of growing
-    cutoffs it distinguishes pairs that stay within a restricted orbit
-    from pairs that drift apart.
+    representations is equivalent, so the norm is the informative part:
+    tracked along a family of growing cutoffs it distinguishes pairs that
+    stay within a restricted orbit from pairs that drift apart.
     """
     if pol1.space.dim != pol2.space.dim:
         raise DimensionMismatch(
             f"ambient dims differ: {pol1.space.dim} vs {pol2.space.dim}"
         )
-    norm = hs_projection_norm(pol1.wplus, pol2.wplus, pol1.space, tol)
-    return {"hs_norm": norm, "equivalent": True}
+    return {"hs_norm": hs_projection_norm(pol1.wplus, pol2.wplus, pol1.space)}

@@ -8,6 +8,7 @@ machinery) are handled in :mod:`polargrass.polarization`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +91,57 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(arr, ord=2))
 
 
-def is_hermitian(a, tol: float = DEFAULT_TOL.eq_tol) -> bool:
+def freeze(arr) -> np.ndarray:
+    """A read-only, C-contiguous copy of ``arr``; the caller's array is untouched."""
+    out = np.array(arr, order="C")
+    out.flags.writeable = False
+    return out
+
+
+def within(dev: float, rel: float, scale: float) -> bool:
+    """Whether ``dev <= rel * max(1, scale)``; false for a NaN ``dev`` and for a
+    non-finite ``scale``, whose infinite bound would accept anything."""
+    return math.isfinite(scale) and dev <= rel * max(1.0, scale)
+
+
+def symmetry_deviation(Z, sign: float = 1.0) -> float:
+    """``||Z - sign Z^T||``: the (anti)symmetry defect of ``Z`` for ``sign = (-)1``."""
+    return hs_norm(Z - sign * Z.T)
+
+
+def check_symmetry(Z, sign: float, rel: float, error: type, what: str) -> None:
+    """Raise ``error`` unless ``symmetry_deviation(Z, sign)`` is
+    :func:`within` ``rel`` relative to ``||Z||``."""
+    dev = symmetry_deviation(Z, sign)
+    if not within(dev, rel, hs_norm(Z)):
+        raise error(f"{what} (deviation {dev:.3e})")
+
+
+def check_invertible(a, rel: float, error: type, what: str) -> None:
+    """Raise ``error`` unless ``sigma_min(a) > rel * max(1, sigma_max(a))``, both
+    from one SVD; a non-finite value or an SVD that fails counts as singular."""
+    try:
+        svals = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{what} ({exc})") from exc
+    smin, smax = (float(svals.min()), float(svals.max())) if svals.size else (0.0, 0.0)
+    if not (math.isfinite(smax) and smin > rel * max(1.0, smax)):
+        raise error(f"{what} (sigma_min {smin:.3e})")
+
+
+def right_divide(num, den, rel: float, error: type, what: str) -> np.ndarray:
+    """``num @ inv(den)``, after :func:`check_invertible` on ``den``."""
+    check_invertible(den, rel, error, what)
+    return np.linalg.solve(den.T, num.T).T
+
+
+def _hermitian_eigh(a, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of ``a``; raises NonHermitian beyond ``eq_tol`` (relative)."""
     arr = as_matrix(a, square=True)
-    return hs_norm(arr - arr.conj().T) <= tol * max(1.0, hs_norm(arr))
+    dev = hs_norm(arr - arr.conj().T)
+    if not within(dev, tol.eq_tol, hs_norm(arr)):
+        raise NonHermitian(f"Hermitian deviation {dev:.3e}")
+    return np.linalg.eigh(0.5 * (arr + arr.conj().T))
 
 
 def is_positive_definite(a, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -103,17 +152,20 @@ def is_positive_definite(a, tol: Tolerances = DEFAULT_TOL) -> bool:
     NonHermitian
         If ``a`` deviates from Hermitian symmetry beyond ``eq_tol``.
     """
-    arr = as_matrix(a, square=True)
-    dev = hs_norm(arr - arr.conj().T)
-    if dev > tol.eq_tol * max(1.0, hs_norm(arr)):
-        raise NonHermitian(f"Hermitian deviation {dev:.3e}")
-    eigs = np.linalg.eigvalsh(0.5 * (arr + arr.conj().T))
-    return bool(eigs.min() > tol.spd_tol)
+    eigvals, _ = _hermitian_eigh(a, tol)
+    return bool(eigvals.min() > tol.spd_tol)
 
 
 def min_eig_hermitian(a) -> float:
     arr = as_matrix(a, square=True)
     return float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T)).min())
+
+
+def _spd_power(a, power: float, tol: Tolerances) -> np.ndarray:
+    eigvals, eigvecs = _hermitian_eigh(a, tol)
+    if not eigvals.min() > tol.spd_tol:
+        raise NotPositiveDefinite(f"minimum eigenvalue {eigvals.min():.3e}")
+    return (eigvecs * (eigvals**power)) @ eigvecs.conj().T
 
 
 def inverse_sqrt_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -130,26 +182,12 @@ def inverse_sqrt_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     NotPositiveDefinite
         If the smallest eigenvalue does not clear ``spd_tol``.
     """
-    arr = as_matrix(a, square=True)
-    dev = hs_norm(arr - arr.conj().T)
-    if dev > tol.eq_tol * max(1.0, hs_norm(arr)):
-        raise NonHermitian(f"Hermitian deviation {dev:.3e}")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
-    if eigvals.min() <= tol.spd_tol:
-        raise NotPositiveDefinite(f"minimum eigenvalue {eigvals.min():.3e}")
-    return (eigvecs * (eigvals**-0.5)) @ eigvecs.conj().T
+    return _spd_power(a, -0.5, tol)
 
 
 def sqrt_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Hermitian positive definite square root (same validation as the inverse)."""
-    arr = as_matrix(a, square=True)
-    dev = hs_norm(arr - arr.conj().T)
-    if dev > tol.eq_tol * max(1.0, hs_norm(arr)):
-        raise NonHermitian(f"Hermitian deviation {dev:.3e}")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
-    if eigvals.min() <= tol.spd_tol:
-        raise NotPositiveDefinite(f"minimum eigenvalue {eigvals.min():.3e}")
-    return (eigvecs * (eigvals**0.5)) @ eigvecs.conj().T
+    return _spd_power(a, 0.5, tol)
 
 
 class Frame:
@@ -170,11 +208,9 @@ class Frame:
             )
         gram = arr.conj().T @ arr
         dev = hs_norm(gram - np.eye(arr.shape[1]))
-        if dev > ORTHO_TOL:
+        if not dev <= ORTHO_TOL:
             raise RankMismatch(f"columns not orthonormal (deviation {dev:.3e})")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", freeze(arr))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Frame is immutable")
@@ -232,16 +268,6 @@ def principal_angle_distance(f1: Frame, f2: Frame) -> float:
             f"({f2.ambient_dim},{f2.rank})"
         )
     return op_norm(f1.projector() - f2.projector())
-
-
-def solve(a, b):
-    """np.linalg.solve with a clearer error for singular systems."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        from .errors import NumericallySingular
-
-        raise NumericallySingular(str(exc)) from exc
 
 
 def smallest_singular_value(a) -> float:

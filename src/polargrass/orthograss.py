@@ -24,15 +24,18 @@ from .errors import (
     NoPairing,
     NotOrthogonal,
     OutsideChart,
+    ProjectionSingular,
 )
 from .linalg import (
     DEFAULT_TOL,
     Frame,
     Tolerances,
     as_matrix,
+    check_symmetry,
+    freeze,
     hs_norm,
     op_norm,
-    smallest_singular_value,
+    right_divide,
 )
 from .polarization import EigenSplit, OrthogonalPolarization
 
@@ -49,12 +52,8 @@ class OrthoGraphOperator:
 
     def __post_init__(self) -> None:
         Z = as_matrix(self.Z, square=True)
-        dev = hs_norm(Z + Z.T)
-        if dev > self.atol * max(1.0, hs_norm(Z)):
-            raise InvariantViolation(f"Z not antisymmetric (deviation {dev:.3e})")
-        Z = Z.copy()
-        Z.flags.writeable = False
-        object.__setattr__(self, "Z", Z)
+        check_symmetry(Z, -1.0, self.atol, InvariantViolation, "Z not antisymmetric")
+        object.__setattr__(self, "Z", freeze(Z))
 
     @property
     def n(self) -> int:
@@ -130,7 +129,7 @@ def _wplus_columns(w, split: EigenSplit) -> np.ndarray:
     return split.space.g_orthonormalize(frame.matrix)
 
 
-def find_chart(w, split: EigenSplit, tol: Tolerances = DEFAULT_TOL) -> FindChartResult:
+def find_chart(w, split: EigenSplit) -> FindChartResult:
     """Locate a chart containing the polarization ``w``.
 
     Starting from S = {} the projection of W onto W_S is tested for a
@@ -159,7 +158,8 @@ def find_chart(w, split: EigenSplit, tol: Tolerances = DEFAULT_TOL) -> FindChart
         if kernel == 0:
             perp = np.array([(s + n) % (2 * n) for s in slots])
             cm = dual[perp] @ Fw
-            Z = np.linalg.solve(C.T, cm.T).T
+            Z = right_divide(cm, C, KERNEL_THRESHOLD, ProjectionSingular,
+                             "projection onto the chart center is singular")
             return FindChartResult(S, OrthoGraphOperator(Z, atol=1e-8), tuple(kernel_dims))
         _, _, vh = np.linalg.svd(C)
         v = Fw @ vh[-1].conj()
@@ -178,9 +178,7 @@ def _transition_blocks(S1: ChartIndex, S2: ChartIndex, n: int):
     return a, b, b.copy(), a.copy()
 
 
-def transition(
-    S1: ChartIndex, S2: ChartIndex, Z1: OrthoGraphOperator, tol: Tolerances = DEFAULT_TOL
-) -> OrthoGraphOperator:
+def transition(S1: ChartIndex, S2: ChartIndex, Z1: OrthoGraphOperator) -> OrthoGraphOperator:
     """Chart change ``Z1 -> (c + d Z1)(a + b Z1)^{-1}``.
 
     The blocks are diagonal 0/1 matrices recording which slots keep or
@@ -197,9 +195,8 @@ def transition(
     n = Z1.n
     a, b, c, d = _transition_blocks(S1, S2, n)
     den = a + b @ Z1.Z
-    if smallest_singular_value(den) <= 1e-10 * max(1.0, op_norm(den)):
-        raise OutsideChart(f"target chart {S2.indices} does not contain the point")
-    Z2 = np.linalg.solve(den.T, (c + d @ Z1.Z).T).T
+    Z2 = right_divide(c + d @ Z1.Z, den, 1e-10, OutsideChart,
+                      f"target chart {S2.indices} does not contain the point")
     return OrthoGraphOperator(Z2, atol=max(Z1.atol, 1e-10))
 
 
@@ -219,11 +216,9 @@ def transition_derivative(
         raise DimensionMismatch("direction size does not match the point")
     a, b, c, d = _transition_blocks(S1, S2, n)
     den = a + b @ Z1.Z
-    if smallest_singular_value(den) <= 1e-10 * max(1.0, op_norm(den)):
-        raise OutsideChart(f"target chart {S2.indices} does not contain the point")
-    deninv = np.linalg.inv(den)
-    psi = (c + d @ Z1.Z) @ deninv
-    return (d @ W - psi @ b @ W) @ deninv
+    what = f"target chart {S2.indices} does not contain the point"
+    psi = right_divide(c + d @ Z1.Z, den, 1e-10, OutsideChart, what)
+    return right_divide(d @ W - psi @ b @ W, den, 1e-10, OutsideChart, what)
 
 
 @dataclass(frozen=True)
@@ -255,7 +250,7 @@ def holomorphy_check(
     W = as_matrix(direction, square=True)
 
     def psi_at(Zm: np.ndarray) -> np.ndarray:
-        return transition(S1, S2, OrthoGraphOperator(Zm, atol=1e-6), DEFAULT_TOL).Z
+        return transition(S1, S2, OrthoGraphOperator(Zm, atol=1e-6)).Z
 
     analytic = transition_derivative(S1, S2, Z1, W)
     Z = Z1.Z
@@ -286,7 +281,7 @@ class IndexReport:
         return self.dim_ker - self.dim_coker
 
 
-def fredholm_index(w, split: EigenSplit, tol: Tolerances = DEFAULT_TOL) -> IndexReport:
+def fredholm_index(w, split: EigenSplit) -> IndexReport:
     """Kernel and cokernel dimensions of the projection W -> L+.
 
     The kernel is W intersected with alpha(L+), the cokernel pairs with
@@ -324,9 +319,7 @@ class OrthoBlocks:
         if dev_pair > self.atol * max(1.0, hs_norm(M)):
             raise InvariantViolation(f"blocks not alpha-paired ({dev_pair:.3e})")
         for name in ("a", "b", "c", "d"):
-            arr = as_matrix(getattr(self, name), square=True).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, freeze(as_matrix(getattr(self, name), square=True)))
 
 
 @dataclass(frozen=True)
@@ -335,15 +328,14 @@ class OrthoBlockReport:
     hs_b: float
     hs_c: float
     dim_ker_a: int
-    index_a: int
 
 
 def ortho_block_check(u, split: EigenSplit, tol: Tolerances = DEFAULT_TOL) -> OrthoBlockReport:
     """Compress a real g-orthogonal map and report its off-diagonal data.
 
     ``hs_b = hs_c`` measures how far u is from preserving the splitting;
-    the diagonal block a is recorded with its kernel dimension and
-    (always zero, finite-dimensional) Fredholm index.
+    the diagonal block a is recorded with its kernel dimension (its
+    Fredholm index is always zero in finite dimension).
 
     Raises
     ------
@@ -365,5 +357,4 @@ def ortho_block_check(u, split: EigenSplit, tol: Tolerances = DEFAULT_TOL) -> Or
         hs_b=hs_norm(blocks.b),
         hs_c=hs_norm(blocks.c),
         dim_ker_a=dim_ker,
-        index_a=0,
     )

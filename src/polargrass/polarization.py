@@ -35,18 +35,13 @@ from .linalg import (
     Frame,
     Tolerances,
     as_matrix,
+    freeze,
     hs_norm,
     inverse_sqrt_hermitian,
     smallest_singular_value,
     sqrt_hermitian,
 )
 from .triples import BilinearForm, CompatibleTriple, ComplexStructure
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -59,8 +54,8 @@ class ComplexifiedSpace:
     Omega: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "G", _freeze(self.triple.G.astype(np.complex128)))
-        object.__setattr__(self, "Omega", _freeze(self.triple.Omega.astype(np.complex128)))
+        object.__setattr__(self, "G", freeze(self.triple.G.astype(np.complex128)))
+        object.__setattr__(self, "Omega", freeze(self.triple.Omega.astype(np.complex128)))
 
     @property
     def dim(self) -> int:
@@ -90,7 +85,7 @@ class ComplexifiedSpace:
         return solve_triangular(low, cols.T.conj(), lower=True).conj().T
 
 
-def complexify(t: CompatibleTriple, tol: Tolerances = DEFAULT_TOL) -> ComplexifiedSpace:
+def complexify(t: CompatibleTriple) -> ComplexifiedSpace:
     """Extend a triple to its complexification, checking the extended
     pairing identities on a deterministic random sample.
 
@@ -130,8 +125,8 @@ class EigenSplit:
     lplus: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "J", _freeze(self.J.astype(np.complex128)))
-        object.__setattr__(self, "lplus", _freeze(np.asarray(self.lplus, dtype=np.complex128)))
+        object.__setattr__(self, "J", freeze(np.asarray(self.J, dtype=np.complex128)))
+        object.__setattr__(self, "lplus", freeze(np.asarray(self.lplus, dtype=np.complex128)))
         n = self.n
         dev_eig = hs_norm(self.J @ self.lplus - 1j * self.lplus)
         dev_onb = hs_norm(self.space.gram(self.lplus) - np.eye(n))
@@ -234,14 +229,13 @@ class OrthogonalPolarization:
     space: ComplexifiedSpace
     wplus: Frame
     validate: bool = field(default=True, compare=False)
-    tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self) -> None:
         _polarization_frame(self.space, self.wplus)
         if self.validate:
-            self.check(self.tol)
+            self.check()
 
-    def check(self, tol: Tolerances = DEFAULT_TOL) -> dict[str, float]:
+    def check(self) -> dict[str, float]:
         """Isotropy and spanning residuals; raises on violation."""
         W = self.wplus.matrix
         iso = hs_norm(W.T @ self.space.G @ W)
@@ -289,7 +283,7 @@ class PositiveSymplecticPolarization:
         return {"isotropy": iso, "spanning_sigma_min": span, "positivity_min_eig": min_eig}
 
 
-def _oblique_structure(W: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _oblique_structure(W: np.ndarray) -> np.ndarray:
     """i(P+ - P-) for the decomposition span(W) + span(conj(W))."""
     n = W.shape[1]
     B = np.hstack([W, np.conj(W)])
@@ -299,7 +293,7 @@ def _oblique_structure(W: np.ndarray, tol: Tolerances) -> np.ndarray:
     return B @ D @ np.linalg.inv(B)
 
 
-def _require_real(Jw: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _require_real(Jw: np.ndarray) -> np.ndarray:
     dev = hs_norm(Jw - np.conj(Jw))
     if dev > 1e-9 * max(1.0, hs_norm(Jw)):
         raise NotRealizable(f"structure does not commute with alpha ({dev:.3e})")
@@ -323,9 +317,8 @@ def triple_from_orthogonal(
     """
     if g is None:
         g = pol.space.triple.g
-    pol.check(tol)
-    Jw = _oblique_structure(pol.wplus.matrix, tol)
-    Jreal = _require_real(Jw, tol)
+    pol.check()
+    Jreal = _require_real(_oblique_structure(pol.wplus.matrix))
     omega = BilinearForm("antisymmetric", Jreal.T @ g.matrix)
     return CompatibleTriple(g, ComplexStructure(Jreal), omega, tol)
 
@@ -348,8 +341,7 @@ def triple_from_positive_symplectic(
     if omega is None:
         omega = pol.space.triple.omega
     pol.check(tol)
-    Jw = _oblique_structure(pol.wplus.matrix, tol)
-    Jreal = _require_real(Jw, tol)
+    Jreal = _require_real(_oblique_structure(pol.wplus.matrix))
     Gcand = omega.matrix @ Jreal
     g = BilinearForm("symmetric", 0.5 * (Gcand + Gcand.T))
     return CompatibleTriple(g, ComplexStructure(Jreal), omega, tol)
@@ -371,9 +363,7 @@ def hermitian_model(
     return cplus[:, 0]
 
 
-def hs_projection_norm(
-    w1: Frame, w2: Frame, space: ComplexifiedSpace, tol: Tolerances = DEFAULT_TOL
-) -> float:
+def hs_projection_norm(w1: Frame, w2: Frame, space: ComplexifiedSpace) -> float:
     """Hilbert-Schmidt size of the component of W1 lying across W2.
 
     Projects a g-orthonormal basis of W1 onto alpha(W2) along the

@@ -138,8 +138,11 @@ def _entry(pair) -> complex:
         or len(pair) != 2
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
     ):
-        raise FormatError(f"matrix entries must be [re, im] pairs, got {pair!r}")
-    return complex(pair[0], pair[1])
+        raise FormatError(f"entries must be [re, im] pairs of numbers, got {pair!r}")
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError:
+        raise FormatError(f"entry {pair!r} does not fit a double") from None
 
 
 def matrix_to_json(mat) -> dict:
@@ -161,7 +164,7 @@ def matrix_from_json(obj, extra: tuple = ()) -> np.ndarray:
     """
     _check_keys(obj, ("rows", "cols", "data"), extra)
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in (rows, cols)):
         raise FormatError(f"rows/cols must be positive integers, got {rows!r}, {cols!r}")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:

@@ -8,6 +8,7 @@ maps commuting with the real structure act through alpha-paired blocks
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +28,17 @@ from .linalg import (
     Frame,
     Tolerances,
     as_matrix,
-    as_real_matrix,
+    check_invertible,
+    check_symmetry,
+    freeze,
     hs_norm,
     inverse_sqrt_hermitian,
     min_eig_hermitian,
     op_norm,
+    right_divide,
     smallest_singular_value,
+    symmetry_deviation,
+    within,
 )
 from .polarization import EigenSplit, PositiveSymplecticPolarization
 
@@ -50,15 +56,11 @@ class SiegelPoint:
 
     def __post_init__(self) -> None:
         Z = as_matrix(self.Z, square=True)
-        dev = hs_norm(Z - Z.T)
-        if dev > self.atol * max(1.0, hs_norm(Z)):
-            raise InvariantViolation(f"Z not symmetric (deviation {dev:.3e})")
+        check_symmetry(Z, 1.0, self.atol, InvariantViolation, "Z not symmetric")
         norm = op_norm(Z)
         if norm >= 1.0 - 1e-12:
             raise InvariantViolation(f"Z not a strict contraction (opnorm {norm:.6f})")
-        Z = Z.copy()
-        Z.flags.writeable = False
-        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "Z", freeze(Z))
 
     @property
     def n(self) -> int:
@@ -72,6 +74,17 @@ class SiegelReport:
     member: bool
 
 
+def _membership(Z: np.ndarray, positive, budget: float, tol: Tolerances) -> SiegelReport:
+    """Report for ``Z`` whose model needs ``positive`` positive definite;
+    InvariantViolation if a residual overflows, as no report could carry it."""
+    sym = symmetry_deviation(Z)
+    if not (math.isfinite(sym) and np.all(np.isfinite(positive))):
+        raise InvariantViolation("membership residuals of Z overflow")
+    min_eig = min_eig_hermitian(positive)
+    member = within(sym, budget, hs_norm(Z)) and min_eig > tol.spd_tol
+    return SiegelReport(sym, min_eig, member)
+
+
 def siegel_membership(Z, tol: Tolerances = DEFAULT_TOL, sym_tol: float | None = None) -> SiegelReport:
     """Membership report for the disk model.
 
@@ -80,11 +93,8 @@ def siegel_membership(Z, tol: Tolerances = DEFAULT_TOL, sym_tol: float | None = 
     symmetry within ``sym_tol`` (defaults to ``eq_tol``).
     """
     Z = as_matrix(Z, square=True)
-    sym = hs_norm(Z - Z.T)
-    min_eig = min_eig_hermitian(np.eye(Z.shape[0]) - Z.conj().T @ Z)
     budget = tol.eq_tol if sym_tol is None else sym_tol
-    member = sym <= budget * max(1.0, hs_norm(Z)) and min_eig > tol.spd_tol
-    return SiegelReport(sym, min_eig, member)
+    return _membership(Z, np.eye(Z.shape[0]) - Z.conj().T @ Z, budget, tol)
 
 
 @dataclass(frozen=True)
@@ -96,14 +106,10 @@ class UpperHalfPoint:
 
     def __post_init__(self) -> None:
         Z = as_matrix(self.Z, square=True)
-        dev = hs_norm(Z - Z.T)
-        if dev > self.atol * max(1.0, hs_norm(Z)):
-            raise InvariantViolation(f"Z not symmetric (deviation {dev:.3e})")
+        check_symmetry(Z, 1.0, self.atol, InvariantViolation, "Z not symmetric")
         if min_eig_hermitian((Z - Z.conj().T) / 2j) <= 0.0:
             raise NotUpperHalf("imaginary part is not positive definite")
-        Z = Z.copy()
-        Z.flags.writeable = False
-        object.__setattr__(self, "Z", Z)
+        object.__setattr__(self, "Z", freeze(Z))
 
     @property
     def n(self) -> int:
@@ -113,10 +119,7 @@ class UpperHalfPoint:
 def halfspace_membership(Z, tol: Tolerances = DEFAULT_TOL) -> SiegelReport:
     """Membership report for the half-space model (min eigenvalue of Im Z)."""
     Z = as_matrix(Z, square=True)
-    sym = hs_norm(Z - Z.T)
-    min_eig = min_eig_hermitian((Z - Z.conj().T) / 2j)
-    member = sym <= tol.eq_tol * max(1.0, hs_norm(Z)) and min_eig > tol.spd_tol
-    return SiegelReport(sym, min_eig, member)
+    return _membership(Z, (Z - Z.conj().T) / 2j, tol.eq_tol, tol)
 
 
 def disk_to_halfspace(p: SiegelPoint) -> UpperHalfPoint:
@@ -154,15 +157,12 @@ class BlockSymplectic:
         eye = np.eye(a.shape[0])
         dev1 = hs_norm(a.conj().T @ a - b.conj().T @ b - eye)
         dev2 = hs_norm(a.conj().T @ b.conj() - b.conj().T @ a.conj())
-        scale = max(1.0, hs_norm(a) ** 2)
-        if dev1 > atol * scale or dev2 > atol * scale:
+        scale = hs_norm(a) ** 2
+        if not (within(dev1, atol, scale) and within(dev2, atol, scale)):
             raise NotSymplectic(f"block identities fail ({dev1:.3e}, {dev2:.3e})")
-        if smallest_singular_value(a) <= 1e-12 * max(1.0, op_norm(a)):
-            raise NumericallySingular("block a is singular")
-        for m in (a, b):
-            m.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        check_invertible(a, 1e-12, NumericallySingular, "block a is singular")
+        object.__setattr__(self, "a", freeze(a))
+        object.__setattr__(self, "b", freeze(b))
         object.__setattr__(self, "atol", float(atol))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -237,12 +237,7 @@ def block_decompose(u, split: EigenSplit, tol: Tolerances = DEFAULT_TOL, atol: f
     return BlockSymplectic(a, b, atol=budget)
 
 
-def symplectic_inverse(u: BlockSymplectic) -> BlockSymplectic:
-    """Inverse through the block formula ``(a, b) -> (a*, -b^T)``."""
-    return u.inverse()
-
-
-def mobius_act(u: BlockSymplectic, p: SiegelPoint, tol: Tolerances = DEFAULT_TOL) -> SiegelPoint:
+def mobius_act(u: BlockSymplectic, p: SiegelPoint) -> SiegelPoint:
     """Act on a disk point: ``Z -> (b + conj(a) Z)(a + conj(b) Z)^{-1}``.
 
     Raises
@@ -254,11 +249,8 @@ def mobius_act(u: BlockSymplectic, p: SiegelPoint, tol: Tolerances = DEFAULT_TOL
     if u.n != p.n:
         raise DimensionMismatch("block size does not match the point")
     den = u.a + u.b.conj() @ p.Z
-    smin = smallest_singular_value(den)
-    if smin <= 1e-12 * max(1.0, op_norm(den)):
-        raise NumericallySingular(f"denominator sigma_min {smin:.3e}")
     num = u.b + u.a.conj() @ p.Z
-    Z2 = np.linalg.solve(den.T, num.T).T
+    Z2 = right_divide(num, den, 1e-12, NumericallySingular, "denominator is singular")
     sym_budget = max(p.atol, u.atol * 10.0, 1e-10)
     return SiegelPoint(Z2, atol=sym_budget)
 
@@ -282,9 +274,7 @@ def graph_frame(p: SiegelPoint, split: EigenSplit) -> Frame:
     return Frame.from_columns(split.lplus + split.lminus @ p.Z)
 
 
-def graph_operator(
-    w, split: EigenSplit, tol: Tolerances = DEFAULT_TOL, atol: float = 1e-10
-) -> SiegelPoint:
+def graph_operator(w, split: EigenSplit, atol: float = 1e-10) -> SiegelPoint:
     """Invert :func:`graph_frame`: read off Z from a positive Lagrangian.
 
     Accepts a :class:`Frame` or a :class:`PositiveSymplecticPolarization`.
@@ -298,10 +288,7 @@ def graph_operator(
     if frame.ambient_dim != 2 * split.n or frame.rank != split.n:
         raise DimensionMismatch("frame shape does not match the split")
     cplus, cminus = split.coords(frame.matrix)
-    smin = smallest_singular_value(cplus)
-    if smin <= 1e-8 * max(1.0, op_norm(cplus)):
-        raise ProjectionSingular(f"projection to L+ has sigma_min {smin:.3e}")
-    Z = np.linalg.solve(cplus.T, cminus.T).T
+    Z = right_divide(cminus, cplus, 1e-8, ProjectionSingular, "projection to L+ is singular")
     return SiegelPoint(Z, atol=atol)
 
 

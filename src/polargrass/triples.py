@@ -27,8 +27,12 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_real_matrix,
+    check_invertible,
+    check_symmetry,
+    freeze,
     hs_norm,
     smallest_singular_value,
+    within,
 )
 
 _SYM_KINDS = ("symmetric", "antisymmetric")
@@ -55,15 +59,11 @@ class BilinearForm:
             raise FormatError(f"kind must be one of {_SYM_KINDS}, got {self.kind!r}")
         arr = as_real_matrix(self.matrix, square=True)
         sign = 1.0 if self.kind == "symmetric" else -1.0
-        dev = hs_norm(arr - sign * arr.T)
-        if dev > 1e-10 * max(1.0, hs_norm(arr)):
-            raise InvariantViolation(f"form is not {self.kind} (deviation {dev:.3e})")
+        check_symmetry(arr, sign, 1e-10, InvariantViolation, f"form is not {self.kind}")
         smin = smallest_singular_value(arr)
         if smin <= 1e-12 * max(1.0, hs_norm(arr)):
             raise InvariantViolation(f"form is degenerate (sigma_min {smin:.3e})")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", freeze(arr))
         object.__setattr__(self, "min_singular_value", smin)
 
     @property
@@ -85,11 +85,9 @@ class ComplexStructure:
         if arr.shape[0] % 2 != 0 or arr.shape[0] == 0:
             raise DimensionMismatch("a complex structure needs even positive dimension")
         dev = hs_norm(arr @ arr + np.eye(arr.shape[0]))
-        if dev > 1e-10 * max(1.0, hs_norm(arr) ** 2):
+        if not within(dev, 1e-10, hs_norm(arr) ** 2):
             raise NotAComplexStructure(f"J^2 deviates from -I by {dev:.3e}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "matrix", freeze(arr))
 
     @property
     def dim(self) -> int:
@@ -271,9 +269,7 @@ def complete_from_J_omega(
     if J.dim != omega.dim:
         raise DimensionMismatch(f"dims differ: J {J.dim}, omega {omega.dim}")
     Gcand = omega.matrix @ J.matrix
-    dev = hs_norm(Gcand - Gcand.T)
-    if dev > tol.eq_tol * max(1.0, hs_norm(Gcand)):
-        raise NotSkewSymmetric(f"candidate metric asymmetric by {dev:.3e}")
+    check_symmetry(Gcand, 1.0, tol.eq_tol, NotSkewSymmetric, "candidate metric is asymmetric")
     _require_spd(0.5 * (Gcand + Gcand.T), tol)
     g = BilinearForm("symmetric", 0.5 * (Gcand + Gcand.T))
     return CompatibleTriple(g, J, omega, tol)
@@ -293,9 +289,7 @@ def pullback_triple(u, t: CompatibleTriple, tol: Tolerances = DEFAULT_TOL) -> Co
     u = as_real_matrix(u, square=True)
     if u.shape[0] != t.dim:
         raise DimensionMismatch(f"u has dim {u.shape[0]}, triple has {t.dim}")
-    svals = np.linalg.svd(u, compute_uv=False)
-    if svals.min() <= 1e-12 * max(1.0, svals.max()):
-        raise SingularTransform(f"sigma_min {svals.min():.3e}")
+    check_invertible(u, 1e-12, SingularTransform, "u is singular")
     uinv = np.linalg.solve(u, np.eye(t.dim))
     G = uinv.T @ t.G @ uinv
     Om = uinv.T @ t.Omega @ uinv

@@ -151,6 +151,28 @@ class TestDiffeos:
         flow = diffeo_from_spec({"kind": "fourier_flow", "coeffs": [[2, 0.1]]})
         assert flow.params["coeffs"] == [(2, 0.1)]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "mobius", "a": [0.1]},
+            {"kind": "mobius", "a": [0.1, 0.0, 0.0]},
+            {"kind": "mobius", "a": [True, 0.0]},
+            {"kind": "mobius", "a": [0.1, 0.0], "extra": 1},
+            {"kind": "mobius", "a": [0.1, 0.0], "delta": 0.2},
+            {"kind": "rotation"},
+            {"kind": "rotation", "delta": "x"},
+            {"kind": "rotation", "delta": float("nan")},
+            {"kind": "fourier_flow", "coeffs": 3},
+            {"kind": "fourier_flow", "coeffs": [[2]]},
+            {"kind": "fourier_flow", "coeffs": [[2.5, 0.1]]},
+            {"kind": "fourier_flow", "coeffs": [[2, float("inf")]]},
+            {"kind": ["mobius"]},
+        ],
+    )
+    def test_from_spec_rejects_malformed(self, spec):
+        with pytest.raises(FormatError):
+            diffeo_from_spec(spec)
+
     def test_from_spec_rejects_unknown(self):
         with pytest.raises(FormatError):
             diffeo_from_spec({"kind": "squeeze"})

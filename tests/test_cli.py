@@ -1,6 +1,8 @@
 """Command-line surface: verbs, exit codes, reports, suite aggregation."""
 
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -182,6 +184,25 @@ class TestCircleVerbs:
         result = invoke(runner, tmp_path, "grunsky", {"diffeo": {"kind": "squeeze"}})
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [
+            ({"cutoff": 0}, ()),
+            ({"cutoff": True}, ()),
+            ({"quadrature": 0}, ()),
+            ({"quadrature": False}, ()),
+            ({}, ("--cutoff", "0")),
+            ({"cutoff": 8}, ("--quadrature", "0")),
+        ],
+    )
+    def test_grunsky_cutoff_and_quadrature_must_be_positive_integers(
+        self, runner, tmp_path, extra, flags
+    ):
+        payload = {"diffeo": {"kind": "rotation", "delta": 0.3}, **extra}
+        result = invoke(runner, tmp_path, "grunsky", payload, *flags)
+        assert result.exit_code == 1
+        assert report_of(result)["error"] == "FormatError"
+
     def test_torus_period_member(self, runner, tmp_path):
         result = invoke(runner, tmp_path, "torus-period", {"tau": [0.5, 0.5]})
         assert result.exit_code == 0
@@ -226,6 +247,36 @@ class TestChartVerbs:
         result = invoke(runner, tmp_path, "chart-transition", payload)
         assert result.exit_code == 2
         assert report_of(result)["error"] == "OutsideChart"
+
+
+    @pytest.mark.parametrize("atol", [0, -1e-9, float("inf"), float("nan"), True])
+    def test_transition_atol_must_be_positive_and_finite(self, atol):
+        payload = {
+            "Z": matrix_to_json(np.array([[0.0, 0.5], [-0.5, 0.0]])),
+            "source": [],
+            "target": [1, 2],
+            "atol": atol,
+        }
+        report, code = cli.run_verb("chart-transition", payload, cli.Options())
+        assert code == 1
+        assert report["error"] == "FormatError"
+
+    def test_transition_of_overflowing_point_is_a_named_error(self, tmp_path):
+        # ||Z|| overflows: a relative antisymmetry budget must not become infinite
+        Z = np.zeros((4, 4))
+        Z[0, 1], Z[1, 0], Z[2, 3], Z[3, 2] = 0.5, -0.5, 0.3, -0.3
+        Z[2, 2] = 1e300
+        path = tmp_path / "input.json"
+        save_json({"Z": matrix_to_json(Z), "source": [], "target": [1, 2]}, path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polargrass.cli", "chart-transition", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"] == "InvariantViolation"
 
 
 class TestFockVerb:

@@ -306,7 +306,6 @@ class TestEquivalenceCertificate:
         pol = fermion_polarization(3)
         cert = equivalence_certificate(pol, pol)
         assert cert["hs_norm"] == 0.0
-        assert cert["equivalent"] is True
 
     def test_rotation_is_visible(self):
         pol = fermion_polarization(3)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from polargrass import errors
 from polargrass.errors import (
     FormatError,
+    InvariantViolation,
     NonHermitian,
     NotPositiveDefinite,
+    NumericallySingular,
+    PolargrassError,
     RankMismatch,
 )
 from polargrass.linalg import (
@@ -13,13 +17,19 @@ from polargrass.linalg import (
     Tolerances,
     as_matrix,
     as_real_matrix,
+    check_invertible,
+    check_symmetry,
+    freeze,
     hs_norm,
     inverse_sqrt_hermitian,
     is_positive_definite,
     op_norm,
     principal_angle_distance,
+    right_divide,
     smallest_singular_value,
     sqrt_hermitian,
+    symmetry_deviation,
+    within,
 )
 
 
@@ -131,3 +141,75 @@ def test_principal_angle_rank_mismatch():
 
 def test_smallest_singular_value_hand():
     assert smallest_singular_value(np.diag([3.0, 0.25])) == pytest.approx(0.25)
+
+
+def test_error_name_is_the_class_name():
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, PolargrassError) and c is not PolargrassError
+    ]
+    assert len(classes) == 27
+    for cls in classes:
+        assert cls.name == cls.__name__
+        assert cls("x").name == cls.__name__
+
+
+def test_freeze_copies_and_leaves_the_caller_writeable():
+    a = np.asfortranarray(np.arange(4.0).reshape(2, 2))
+    out = freeze(a)
+    assert a.flags.writeable and not out.flags.writeable
+    assert out.flags.c_contiguous and not np.shares_memory(a, out)
+    assert np.array_equal(out, a)
+
+
+@pytest.mark.parametrize(
+    "dev, scale, ok",
+    [
+        (1e-11, 0.0, True),
+        (2e-9, 10.0, False),
+        (1e-9, 100.0, True),
+        (np.nan, 1.0, False),
+        (np.inf, 1.0, False),
+        (1.0, np.inf, False),
+        (np.inf, np.inf, False),
+        (0.0, np.nan, False),
+    ],
+)
+def test_within_fails_on_nonfinite(dev, scale, ok):
+    assert within(dev, 1e-10, scale) is ok
+
+
+def test_symmetry_check_signs():
+    A = np.array([[0.0, 2.0], [-2.0, 1e-12]])
+    assert symmetry_deviation(A, -1.0) == pytest.approx(2e-12)
+    check_symmetry(A, -1.0, 1e-10, InvariantViolation, "Z not antisymmetric")
+    with pytest.raises(InvariantViolation, match="not symmetric"):
+        check_symmetry(A, 1.0, 1e-10, InvariantViolation, "Z not symmetric")
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_symmetry_check_rejects_an_overflowing_norm():
+    # ||Z|| overflows, so a relative budget would be infinite
+    Z = np.array([[1e300, 0.5], [-0.5, 0.0]])
+    with pytest.raises(InvariantViolation):
+        check_symmetry(Z, -1.0, 1e-10, InvariantViolation, "Z not antisymmetric")
+
+
+def test_right_divide_solves_and_guards(rng):
+    num = rng.standard_normal((3, 3))
+    den = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+    assert hs_norm(right_divide(num, den, 1e-12, NumericallySingular, "x") @ den - num) < 1e-12
+    with pytest.raises(NumericallySingular, match="sigma_min"):
+        right_divide(num, np.diag([1.0, 1.0, 1e-14]), 1e-12, NumericallySingular, "x")
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_check_invertible_treats_nonfinite_as_singular(bad):
+    with pytest.raises(NumericallySingular):
+        check_invertible(np.array([[1.0, bad], [0.0, 1.0]]), 1e-12, NumericallySingular, "x")
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_hermitian_check_rejects_an_overflowing_norm():
+    with pytest.raises(NonHermitian):
+        sqrt_hermitian(np.diag([1e300, 1e300]).astype(complex) + np.array([[0, 1.0], [0, 0]]))

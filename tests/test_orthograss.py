@@ -252,7 +252,6 @@ class TestOrthoBlocks:
         assert rep.hs_b <= 1e-12
         assert rep.hs_c <= 1e-12
         assert rep.dim_ker_a == 0
-        assert rep.index_a == 0
 
     def test_offdiagonal_norms_agree(self, split3, rng):
         for _ in range(10):

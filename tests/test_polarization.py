@@ -11,6 +11,7 @@ from polargrass.errors import (
 )
 from polargrass.linalg import Frame, hs_norm
 from polargrass.polarization import (
+    EigenSplit,
     OrthogonalPolarization,
     PositiveSymplecticPolarization,
     complexify,
@@ -228,3 +229,12 @@ class TestHsProjection:
         a = hs_projection_norm(w2, w1, space)
         b = hs_projection_norm(w1, w2, space)
         assert a == pytest.approx(b, abs=1e-12)
+
+
+def test_eigensplit_stores_a_read_only_copy_of_the_callers_frame():
+    space = complexify(standard_triple(2))
+    lplus = np.array(eigensplit(space).lplus)
+    split = EigenSplit(space, space.triple.Jmat, lplus)
+    assert lplus.flags.writeable
+    assert not split.lplus.flags.writeable
+    assert not np.shares_memory(lplus, split.lplus)

@@ -120,6 +120,10 @@ class TestMatrixFormat:
             matrix_from_json(dict(good, data=[[True, 0.0]] + good["data"][1:]))
         with pytest.raises(FormatError):
             matrix_from_json([1, 2, 3])
+        with pytest.raises(FormatError):
+            matrix_from_json({"rows": True, "cols": True, "data": [[0.1, 0.0]]})
+        with pytest.raises(FormatError):
+            matrix_from_json({"rows": 1, "cols": 1, "data": [[10**400, 0.0]]})
 
 
 class TestTaggedObjects:

@@ -25,7 +25,6 @@ from polargrass.siegel import (
     restricted_character,
     siegel_membership,
     sp_from_siegel_point,
-    symplectic_inverse,
 )
 from polargrass.triples import standard_triple
 
@@ -99,12 +98,19 @@ class TestBlocks:
         u = boost(0.7)
         assert u.a[0, 0] ** 2 - u.b[0, 0] ** 2 == pytest.approx(1.0)
 
+    def test_stores_read_only_copies_of_the_callers_blocks(self):
+        a = np.array([[np.cosh(0.7)]], dtype=complex)
+        b = np.array([[np.sinh(0.7)]], dtype=complex)
+        u = BlockSymplectic(a, b)
+        assert a.flags.writeable and b.flags.writeable
+        assert not u.a.flags.writeable and not u.b.flags.writeable
+        assert not np.shares_memory(a, u.a) and not np.shares_memory(b, u.b)
+
     def test_inverse_composes_to_identity(self, rng):
         u = random_symplectic(4, rng)
         e = u.compose(u.inverse())
         assert hs_norm(e.a - np.eye(4)) < 1e-12
         assert hs_norm(e.b) < 1e-12
-        assert hs_norm(symplectic_inverse(u).a - u.inverse().a) == 0.0
 
     def test_compose_matches_matrix_product(self, rng):
         u1 = random_symplectic(3, rng)
