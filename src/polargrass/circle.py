@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     AliasingRisk,
     BlockSingular,
+    DimensionGuard,
     DimensionMismatch,
     FormatError,
     NotIncreasing,
@@ -45,6 +46,12 @@ from .triples import BilinearForm, CompatibleTriple, ComplexStructure
 #: Relative sigma_min floor for the diagonal block ``a`` of a composition operator.
 _BLOCK_RCOND = 1e-8
 _SINGULAR_BLOCK = "diagonal block of the composition operator is singular"
+
+#: Largest ``N * max(K, 2N)`` accepted by :func:`composition_operator`: the
+#: quadrature holds two N x K complex arrays at a time (powers and their
+#: FFT), 32 N K bytes, so the cap bounds it near 270 MB; ``grunsky`` at
+#: N = 512 with the default K = 16N uses half of it.
+MAX_GRID = 2**23
 
 
 def boson_triple(N: int) -> CompatibleTriple:
@@ -270,11 +277,17 @@ def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.
     """Matrix of ``f -> f o phi`` on modes (-N..-1, 1..N) by quadrature.
 
     Entry (m, n) is the m-th Fourier coefficient of ``exp(i n phi)``,
-    computed with the K-point uniform (trapezoid) rule.  K defaults to
-    16 N; a warning is emitted below 8 N where aliasing becomes a risk.
+    computed with the K-point uniform (trapezoid) rule: column n is the
+    FFT of the sampled power ``w^n`` (``w = exp(i phi)`` on the grid)
+    divided by K and read at ``m mod K``.  The powers come from cumulative
+    products of ``w`` and ``1/w``.  K defaults to 16 N; a warning is emitted
+    below 8 N where aliasing becomes a risk.
 
     Raises
     ------
+    DimensionGuard
+        If the work arrays would exceed ``MAX_GRID`` entries; checked before
+        the grid is built.
     NotIncreasing
         If phi fails strict monotonicity on the quadrature grid.
     """
@@ -283,6 +296,13 @@ def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.
     if K is None:
         K = 16 * N
     K = int(K)
+    if K < 1:
+        raise DimensionMismatch("K must be at least 1")
+    if N * max(K, 2 * N) > MAX_GRID:
+        raise DimensionGuard(
+            f"cutoff {N} with quadrature {K} needs {N * max(K, 2 * N)} grid entries, "
+            f"above the cap {MAX_GRID}"
+        )
     if K < 8 * N:
         warnings.warn(
             f"K={K} below 8N={8 * N}: quadrature may alias", AliasingRisk, stacklevel=2
@@ -292,10 +312,14 @@ def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.
     lifted = np.unwrap(np.angle(w))
     if np.any(np.diff(lifted) <= 0.0):
         raise NotIncreasing("phi is not strictly increasing on the quadrature grid")
-    modes = np.array(mode_indices(N))
-    powers = w[:, None] ** modes[None, :]
-    outgoing = np.exp(-1j * np.outer(modes, theta))
-    return (outgoing @ powers) / K
+    rows = np.array(mode_indices(N)) % K
+
+    def spectra(base: np.ndarray) -> np.ndarray:
+        # column k - 1: coefficients (in mode order) of base^k, k = 1..N
+        powers = np.cumprod(np.broadcast_to(base, (N, K)), axis=0)
+        return np.fft.fft(powers, axis=1)[:, rows].T
+
+    return np.hstack([spectra(1.0 / w)[:, ::-1], spectra(w)]) / K
 
 
 @dataclass(frozen=True)
@@ -332,15 +356,23 @@ class CompositionBlocks:
 def composition_blocks(phi: CircleDiffeo, N: int, K: int | None = None) -> CompositionBlocks:
     """Paired blocks of the truncated composition operator.
 
+    In the g-normalised modes ``e_{-k}/sqrt(k)`` of the boson eigensplit the
+    blocks are ``a[j, k] = C[-j, -k] sqrt(j/k)`` and ``b[j, k] = C[j, -k]
+    sqrt(j/k)`` (j, k = 1..N) for ``C = composition_operator(phi, N, K)``:
+    slices of C under a diagonal rescale.  They equal the leading column
+    blocks of C taken to real coordinates and compressed into the eigensplit
+    of ``BosonModel(N)``, without that route's 2N x 2N products.
+
     Raises
     ------
     BlockSingular
         If the diagonal block is numerically singular.
     """
-    model = BosonModel(N)
-    C = model.to_real(composition_operator(phi, N, K))
-    M = model.split.compress(C)
-    a, b = M[:N, :N], M[N:, :N]
+    C = composition_operator(phi, N, K)
+    root = np.sqrt(np.arange(1.0, N + 1.0))
+    scale = root[:, None] / root[None, :]
+    a = C[N - 1::-1, N - 1::-1] * scale
+    b = C[N:, N - 1::-1] * scale
     check_invertible(a, _BLOCK_RCOND, BlockSingular, _SINGULAR_BLOCK)
     return CompositionBlocks(a, b)
 
@@ -359,7 +391,8 @@ def grunsky(phi: CircleDiffeo, N: int, K: int | None = None, atol: float = 1e-6)
         If the diagonal block is singular (pathological input).
     """
     blocks = composition_blocks(phi, N, K)
-    Z = right_divide(blocks.b, blocks.a, _BLOCK_RCOND, BlockSingular, _SINGULAR_BLOCK)
+    # composition_blocks has already guarded a against singularity
+    Z = np.linalg.solve(blocks.a.T, blocks.b.T).T
     return SiegelPoint(Z, atol=atol)
 
 

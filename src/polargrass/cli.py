@@ -33,7 +33,6 @@ from .linalg import (
     Tolerances,
     hs_norm,
     min_eig_hermitian,
-    op_norm,
     principal_angle_distance,
     symmetry_deviation,
 )
@@ -205,7 +204,7 @@ def _verb_siegel_act(obj) -> dict:
         "inputs": {"n": u.n},
         "residuals": {
             "result_symmetry": symmetry_deviation(q.Z),
-            "result_opnorm": op_norm(q.Z),
+            "result_opnorm": q.opnorm,
         },
         "pass": True,
         "outputs": {"Z": se.disk_point_to_json(q)},
@@ -222,7 +221,7 @@ def _verb_grunsky(obj, opts: Options) -> dict:
         "verb": "grunsky",
         "inputs": {"kind": obj["diffeo"].get("kind"), "cutoff": N, "quadrature": K},
         "residuals": {
-            "z_opnorm": op_norm(p.Z),
+            "z_opnorm": p.opnorm,
             "symmetry_residual": symmetry_deviation(p.Z),
         },
         "pass": True,

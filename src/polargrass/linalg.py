@@ -161,11 +161,12 @@ def min_eig_hermitian(a) -> float:
     return float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T)).min())
 
 
-def _spd_power(a, power: float, tol: Tolerances) -> np.ndarray:
+def _spd_powers(a, powers: tuple[float, ...], tol: Tolerances) -> tuple[np.ndarray, ...]:
+    """``a**p`` for each ``p`` in ``powers`` from one validated ``eigh``."""
     eigvals, eigvecs = _hermitian_eigh(a, tol)
     if not eigvals.min() > tol.spd_tol:
         raise NotPositiveDefinite(f"minimum eigenvalue {eigvals.min():.3e}")
-    return (eigvecs * (eigvals**power)) @ eigvecs.conj().T
+    return tuple((eigvecs * (eigvals**p)) @ eigvecs.conj().T for p in powers)
 
 
 def inverse_sqrt_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -182,12 +183,18 @@ def inverse_sqrt_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     NotPositiveDefinite
         If the smallest eigenvalue does not clear ``spd_tol``.
     """
-    return _spd_power(a, -0.5, tol)
+    return _spd_powers(a, (-0.5,), tol)[0]
 
 
 def sqrt_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Hermitian positive definite square root (same validation as the inverse)."""
-    return _spd_power(a, 0.5, tol)
+    return _spd_powers(a, (0.5,), tol)[0]
+
+
+def sqrt_pair_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """``(sqrt_hermitian(a), inverse_sqrt_hermitian(a))`` from one ``eigh``,
+    with the same validation."""
+    return _spd_powers(a, (0.5, -0.5), tol)
 
 
 class Frame:

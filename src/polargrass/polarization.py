@@ -37,9 +37,8 @@ from .linalg import (
     as_matrix,
     freeze,
     hs_norm,
-    inverse_sqrt_hermitian,
     smallest_singular_value,
-    sqrt_hermitian,
+    sqrt_pair_hermitian,
 )
 from .triples import BilinearForm, CompatibleTriple, ComplexStructure
 
@@ -194,8 +193,7 @@ def eigensplit(space: ComplexifiedSpace, J=None, tol: Tolerances = DEFAULT_TOL) 
         raise DimensionMismatch(f"J has dim {J.shape[0]}, space has {space.dim}")
     # K J K^{-1} with K = G^{1/2} is skew-Hermitian, so -i K J K^{-1} is
     # Hermitian and diagonalizable with real eigenvalues (= +-1 here).
-    K = sqrt_hermitian(space.G, tol)
-    Kinv = inverse_sqrt_hermitian(space.G, tol)
+    K, Kinv = sqrt_pair_hermitian(space.G, tol)
     A = K @ (-1j * J) @ Kinv
     eigvals, eigvecs = np.linalg.eigh(0.5 * (A + A.conj().T))
     if hs_norm(np.abs(eigvals) - 1.0) > 1e-8 * space.dim:

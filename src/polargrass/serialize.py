@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -56,6 +57,17 @@ _FORM_KINDS = ("symmetric", "antisymmetric")
 # canonical writing
 
 
+def _is_float_pairs(obj) -> bool:
+    """Whether ``obj`` is a non-empty list of ``[re, im]`` lists of floats."""
+    return (
+        type(obj) is list
+        and bool(obj)
+        and set(map(type, obj)) == {list}
+        and set(map(len, obj)) == {2}
+        and set(map(type, chain.from_iterable(obj))) == {float}
+    )
+
+
 def _emit(obj, out: list) -> None:
     if obj is None:
         out.append("null")
@@ -72,6 +84,13 @@ def _emit(obj, out: list) -> None:
         out.append(f"{x:.17g}")
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
+    elif _is_float_pairs(obj):
+        # a matrix's data: one format call for the whole list
+        flat = list(chain.from_iterable(obj))
+        if not all(map(math.isfinite, flat)):
+            x = next(x for x in flat if not math.isfinite(x))
+            raise FormatError(f"non-finite number {x!r} is not serializable")
+        out.append("[" + ",".join(["[%.17g,%.17g]"] * len(obj)) % tuple(flat) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -152,7 +171,7 @@ def matrix_to_json(mat) -> dict:
     return {
         "rows": arr.shape[0],
         "cols": arr.shape[1],
-        "data": [[float(z.real), float(z.imag)] for z in arr.ravel()],
+        "data": arr.reshape(-1, 1).view(np.float64).tolist(),
     }
 
 

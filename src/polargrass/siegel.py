@@ -49,10 +49,12 @@ class SiegelPoint:
 
     The default budget (1e-10) suits algebraically constructed points;
     quadrature-produced points pass a looser, explicitly declared budget.
+    ``opnorm`` is ``||Z||_op`` from the contraction check.
     """
 
     Z: np.ndarray
     atol: float = field(default=1e-10, compare=False)
+    opnorm: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         Z = as_matrix(self.Z, square=True)
@@ -61,6 +63,7 @@ class SiegelPoint:
         if norm >= 1.0 - 1e-12:
             raise InvariantViolation(f"Z not a strict contraction (opnorm {norm:.6f})")
         object.__setattr__(self, "Z", freeze(Z))
+        object.__setattr__(self, "opnorm", norm)
 
     @property
     def n(self) -> int:

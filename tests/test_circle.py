@@ -1,10 +1,13 @@
 """Fourier circle models: mode bases, composition operators, Grunsky data,
 fermion model, torus periods."""
 
+import time
+
 import numpy as np
 import pytest
 
 from polargrass.circle import (
+    MAX_GRID,
     BosonModel,
     CircleDiffeo,
     CompositionBlocks,
@@ -26,6 +29,7 @@ from polargrass.circle import (
 from polargrass.errors import (
     AliasingRisk,
     BlockSingular,
+    DimensionGuard,
     DimensionMismatch,
     FormatError,
     NotIncreasing,
@@ -180,7 +184,51 @@ class TestDiffeos:
             diffeo_from_spec({"delta": 0.1})
 
 
+def dense_composition_operator(phi, N, K):
+    """The quadrature as a dense product: ``exp(-i m theta) @ w ** n / K``."""
+    theta = 2.0 * np.pi * np.arange(K) / K
+    w = phi.boundary(theta)
+    modes = np.array(mode_indices(N))
+    powers = w[:, None] ** modes[None, :]
+    outgoing = np.exp(-1j * np.outer(modes, theta))
+    return (outgoing @ powers) / K
+
+
+QUADRATURE_CASES = [
+    rotation_diffeo(0.7),
+    mobius_diffeo(0.1 + 0.05j),
+    fourier_flow_diffeo([(2, 0.15)]),
+    fourier_flow_diffeo([(3, 0.1), (1, 0.2)]),
+]
+QUADRATURE_IDS = ["rotation", "mobius", "flow2", "flow31"]
+
+
+def refuse_boundary():
+    def boundary(t):
+        raise AssertionError("the quadrature grid was built before the guard")
+
+    return CircleDiffeo(kind="refused", params={}, phi=boundary, boundary=boundary)
+
+
 class TestCompositionOperator:
+    @pytest.mark.parametrize("phi", QUADRATURE_CASES, ids=QUADRATURE_IDS)
+    @pytest.mark.parametrize("N, K", [(1, 16), (4, 64), (16, 256), (32, 512), (8, 40)])
+    @pytest.mark.filterwarnings("ignore::polargrass.errors.AliasingRisk")
+    def test_fft_matches_dense_quadrature(self, phi, N, K):
+        # (8, 40): K < 2N + 1, so modes alias onto one another in both
+        C = composition_operator(phi, N, K)
+        ref = dense_composition_operator(phi, N, K)
+        assert np.abs(C - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("phi", QUADRATURE_CASES, ids=QUADRATURE_IDS)
+    @pytest.mark.parametrize("N", [1, 8, 32])
+    def test_blocks_are_the_rescaled_compression(self, phi, N):
+        model = BosonModel(N)
+        M = model.split.compress(model.to_real(composition_operator(phi, N)))
+        blk = composition_blocks(phi, N)
+        assert np.abs(blk.a - M[:N, :N]).max() <= 1e-12
+        assert np.abs(blk.b - M[N:, :N]).max() <= 1e-12
+
     def test_rotation_is_diagonal_phase(self):
         # coefficient m of exp(i n (t + delta)) is exp(i n delta)[m == n]
         C = composition_operator(rotation_diffeo(0.7), 4)
@@ -204,6 +252,23 @@ class TestCompositionOperator:
     def test_cutoff_floor(self):
         with pytest.raises(DimensionMismatch):
             composition_operator(rotation_diffeo(0.1), 0)
+
+    def test_quadrature_floor(self):
+        with pytest.raises(DimensionMismatch):
+            composition_operator(rotation_diffeo(0.1), 4, K=0)
+
+    @pytest.mark.parametrize(
+        "N, K", [(10**6, None), (4, MAX_GRID), (2**9, 2**14 + 1), (3000, 1)]
+    )
+    def test_grid_cap_is_guarded_before_sampling(self, N, K):
+        for build in (composition_operator, composition_blocks, grunsky):
+            with pytest.raises(DimensionGuard):
+                build(refuse_boundary(), N, K)
+
+    def test_grid_cap_admits_its_edge(self):
+        # N * K == MAX_GRID passes the guard and reaches the sampling
+        with pytest.raises(AssertionError):
+            composition_operator(refuse_boundary(), 2**10, MAX_GRID // 2**10)
 
 
 class TestOmegaInvariance:
@@ -284,6 +349,20 @@ class TestGrunsky:
         # kept modes that sigma_min(a) = 2.9e-10, far under the guard
         with pytest.raises(BlockSingular):
             composition_blocks(fourier_flow_diffeo([(2, 0.45)]), 48)
+
+    def test_large_cutoff_rotation_is_fast(self):
+        # a rotation preserves the polarization; N = 512 (K = 8192) took
+        # 0.9 s on one BLAS thread of a 2-vCPU machine, 7.6 s with the
+        # dense quadrature
+        start = time.perf_counter()
+        p = grunsky(rotation_diffeo(0.7), 512)
+        elapsed = time.perf_counter() - start
+        assert op_norm(p.Z) < 1e-6
+        assert elapsed < 5.0
+
+    def test_point_carries_its_opnorm(self):
+        p = grunsky(fourier_flow_diffeo([(2, 0.15)]), 16)
+        assert p.opnorm == op_norm(p.Z)
 
     def test_singular_transform_denominator_detected(self):
         blk = CompositionBlocks(np.diag([1.0, 0.0]).astype(complex), np.zeros((2, 2), complex))

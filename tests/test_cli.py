@@ -11,13 +11,15 @@ import pytest
 from click.testing import CliRunner
 
 from polargrass import cli
+from polargrass.circle import CircleDiffeo
 from polargrass.cli import main
-from polargrass.linalg import Frame
+from polargrass.linalg import Frame, op_norm
 from polargrass.polarization import complexify, eigensplit
 from polargrass.sampling import random_orthogonal
 from polargrass.serialize import (
     disk_point_to_json,
     frame_to_json,
+    matrix_from_json,
     matrix_to_json,
     save_json,
     triple_from_json,
@@ -202,6 +204,33 @@ class TestCircleVerbs:
         result = invoke(runner, tmp_path, "grunsky", payload, *flags)
         assert result.exit_code == 1
         assert report_of(result)["error"] == "FormatError"
+
+    @pytest.mark.parametrize(
+        "payload, flags",
+        [
+            ({"cutoff": 10**6}, ()),
+            ({"cutoff": 8, "quadrature": 10**9}, ()),
+            ({}, ("--cutoff", "4", "--quadrature", str(2**40))),
+        ],
+    )
+    def test_grunsky_grid_above_cap_is_guarded_before_sampling(
+        self, runner, tmp_path, monkeypatch, payload, flags
+    ):
+        def boundary(t):
+            raise AssertionError("the quadrature grid was built before the guard")
+
+        refused = CircleDiffeo(kind="rotation", params={}, phi=boundary, boundary=boundary)
+        monkeypatch.setattr(cli, "diffeo_from_spec", lambda spec: refused)
+        payload = {"diffeo": {"kind": "rotation", "delta": 0.3}, **payload}
+        result = invoke(runner, tmp_path, "grunsky", payload, *flags)
+        assert result.exit_code == 2
+        assert report_of(result)["error"] == "DimensionGuard"
+
+    def test_grunsky_opnorm_is_that_of_the_emitted_point(self, runner, tmp_path):
+        payload = {"diffeo": {"kind": "fourier_flow", "coeffs": [[2, 0.15]]}, "cutoff": 16}
+        rep = report_of(invoke(runner, tmp_path, "grunsky", payload))
+        Z = matrix_from_json(rep["outputs"]["Z"], extra=("model",))
+        assert rep["residuals"]["z_opnorm"] == op_norm(Z)
 
     def test_torus_period_member(self, runner, tmp_path):
         result = invoke(runner, tmp_path, "torus-period", {"tau": [0.5, 0.5]})

@@ -28,6 +28,7 @@ from polargrass.linalg import (
     right_divide,
     smallest_singular_value,
     sqrt_hermitian,
+    sqrt_pair_hermitian,
     symmetry_deviation,
     within,
 )
@@ -78,6 +79,24 @@ def test_sqrt_and_inverse_sqrt_diagonal():
     A = np.diag([4.0, 9.0]).astype(complex)
     assert np.allclose(sqrt_hermitian(A), np.diag([2.0, 3.0]))
     assert np.allclose(inverse_sqrt_hermitian(A), np.diag([0.5, 1.0 / 3.0]))
+
+
+def test_sqrt_pair_equals_the_two_roots(rng):
+    A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    A = A @ A.conj().T + np.eye(5)
+    root, inv_root = sqrt_pair_hermitian(A)
+    assert np.array_equal(root, sqrt_hermitian(A))
+    assert np.array_equal(inv_root, inverse_sqrt_hermitian(A))
+    assert hs_norm(root @ inv_root - np.eye(5)) <= 1e-13
+
+
+def test_sqrt_pair_validates_like_the_roots():
+    with pytest.raises(NotPositiveDefinite):
+        sqrt_pair_hermitian(np.diag([1.0, -1.0]).astype(complex))
+    with pytest.raises(NonHermitian):
+        sqrt_pair_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(NotPositiveDefinite):
+        sqrt_pair_hermitian(np.diag([1.0, 1e-13]), Tolerances(spd_tol=1e-12))
 
 
 def test_inverse_sqrt_rejects_indefinite():

@@ -238,3 +238,22 @@ def test_eigensplit_stores_a_read_only_copy_of_the_callers_frame():
     assert lplus.flags.writeable
     assert not split.lplus.flags.writeable
     assert not np.shares_memory(lplus, split.lplus)
+
+
+def test_eigensplit_diagonalizes_the_metric_once(monkeypatch):
+    # both roots of G come from one validated eigh
+    from polargrass import linalg
+
+    calls = []
+    real_eigh = linalg._hermitian_eigh
+
+    def counted(a, tol):
+        calls.append(a)
+        return real_eigh(a, tol)
+
+    monkeypatch.setattr(linalg, "_hermitian_eigh", counted)
+    rng = np.random.default_rng(3)
+    space = complexify(pullback_triple(random_invertible(4, rng), standard_triple(2)))
+    split = eigensplit(space)
+    assert len(calls) == 1
+    assert hs_norm(space.gram(split.lplus) - np.eye(2)) <= 1e-9

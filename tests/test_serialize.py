@@ -91,6 +91,84 @@ class TestCanonicalEmission:
             load_json(bad)
 
 
+def per_number(data) -> str:
+    """The reference for a matrix's data: each number formatted on its own."""
+    return "[" + ",".join(f"[{re:.17g},{im:.17g}]" for re, im in data) + "]"
+
+
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
+                -1.7976931348623157e308, 0.1, -1.5, 1e-300, 123456789.0, 1.0]
+
+
+def edge_matrix(rows, cols):
+    """The edge doubles as real parts, reversed as imaginary parts (assigned
+    part by part, as complex arithmetic would turn -0.0 into 0.0)."""
+    M = np.empty(len(EDGE_DOUBLES), dtype=complex)
+    M.real = EDGE_DOUBLES
+    M.imag = EDGE_DOUBLES[::-1]
+    return M.reshape(rows, cols)
+
+
+class TestFloatPairBatch:
+    """A list of ``[re, im]`` float pairs is formatted in one batch; its bytes
+    must be those of the generic path (tuples do not take the batch)."""
+
+    def test_edge_values_byte_identical(self):
+        M = edge_matrix(3, 4)
+        obj = matrix_to_json(M)
+        text = dumps_canonical(obj)
+        generic = dict(obj, data=[tuple(pair) for pair in obj["data"]])
+        assert text == dumps_canonical(generic)
+        assert per_number(obj["data"]) in text
+        assert '"data":[[-0,1],[0,123456789]' in text and "4.9406564584124654e-324" in text
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=20))
+    def test_batch_equals_generic_path(self, pairs):
+        text = dumps_canonical([list(p) for p in pairs])
+        assert text == dumps_canonical(pairs) == per_number(pairs) + "\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_rejected(self, bad):
+        M = np.array([[0.5, 1.0], [2.0, 3.0]], dtype=complex)
+        M[1, 0] = complex(1.0, bad)
+        with pytest.raises(FormatError, match=f"non-finite number {bad!r} is not serializable"):
+            dumps_canonical(matrix_to_json(M))
+
+    def test_first_non_finite_is_named(self):
+        with pytest.raises(FormatError, match="non-finite number inf "):
+            dumps_canonical([[0.5, float("inf")], [float("nan"), 0.5]])
+
+    @pytest.mark.parametrize(
+        "obj, text",
+        [
+            ([[1, 2], [3, 4]], "[[1,2],[3,4]]"),
+            ([[10**20, 0.5]], "[[100000000000000000000,0.5]]"),
+            ([[True, 0.5]], "[[true,0.5]]"),
+            ([[np.float64(0.1), 0.5]], "[[0.10000000000000001,0.5]]"),
+            ([[[0.5, 1.5], 2.5]], "[[[0.5,1.5],2.5]]"),
+            ([[0.5, 1.5, 2.5]], "[[0.5,1.5,2.5]]"),
+            ([[0.5, 1.5], [2.5]], "[[0.5,1.5],[2.5]]"),
+            ([[0.5, 1.5], (2.5, 3.5)], "[[0.5,1.5],[2.5,3.5]]"),
+            ([[0.5, "x"]], '[[0.5,"x"]]'),
+            ([], "[]"),
+            ([[]], "[[]]"),
+        ],
+    )
+    def test_other_lists_emit_as_before(self, obj, text):
+        assert dumps_canonical(obj) == text + "\n"
+
+    def test_matrix_data_is_the_per_entry_list(self):
+        # the vectorized reader of the array keeps every sign and subnormal
+        M = edge_matrix(4, 3)
+        for arr in (M, M.T, np.asfortranarray(M), np.arange(6).reshape(2, 3)):
+            data = matrix_to_json(arr)["data"]
+            ref = [[float(z.real), float(z.imag)] for z in np.asarray(arr, complex).ravel()]
+            assert repr(data) == repr(ref)
+            assert all(type(x) is float for pair in data for x in pair)
+
+
 class TestMatrixFormat:
     def test_round_trip_exact(self, rng):
         M = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
