@@ -279,9 +279,11 @@ def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.
     Entry (m, n) is the m-th Fourier coefficient of ``exp(i n phi)``,
     computed with the K-point uniform (trapezoid) rule: column n is the
     FFT of the sampled power ``w^n`` (``w = exp(i phi)`` on the grid)
-    divided by K and read at ``m mod K``.  The powers come from cumulative
-    products of ``w`` and ``1/w``.  K defaults to 16 N; a warning is emitted
-    below 8 N where aliasing becomes a risk.
+    divided by K and read at ``m mod K``.  The powers ``w^1..w^N`` come from
+    one cumulative product and one FFT; since ``w`` lies on the unit
+    circle, ``w^-n = conj(w^n)`` and the negative columns are read off the
+    same spectra as ``C[m, -n] = conj(C[-m, n])``.  K defaults to 16 N; a
+    warning is emitted below 8 N where aliasing becomes a risk.
 
     Raises
     ------
@@ -313,13 +315,12 @@ def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.
     if np.any(np.diff(lifted) <= 0.0):
         raise NotIncreasing("phi is not strictly increasing on the quadrature grid")
     rows = np.array(mode_indices(N)) % K
-
-    def spectra(base: np.ndarray) -> np.ndarray:
-        # column k - 1: coefficients (in mode order) of base^k, k = 1..N
-        powers = np.cumprod(np.broadcast_to(base, (N, K)), axis=0)
-        return np.fft.fft(powers, axis=1)[:, rows].T
-
-    return np.hstack([spectra(1.0 / w)[:, ::-1], spectra(w)]) / K
+    # column k - 1: coefficients (in mode order) of w^k, k = 1..N
+    powers = np.cumprod(np.broadcast_to(w, (N, K)), axis=0)
+    positive = np.fft.fft(powers, axis=1)[:, rows].T
+    # w^-k = conj(w^k) on the circle, so C[m, -k] = conj(C[-m, k]): the
+    # mode order is symmetric, and both axes reverse
+    return np.hstack([np.conj(positive[::-1, ::-1]), positive]) / K
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ An isotropic half ``W`` of a complexified inner-product space generates,
 by wedge creation on its exterior algebra, a representation of the
 Clifford relation ``v.w + w.v = g(v, alpha(w)) 1``.  At ``n`` modes the
 Fock space is ``2^n``-dimensional with basis indexed by subsets of the
-mode set, so every operator is an explicit sparse matrix and the
-anticommutation relations can be checked exhaustively instead of
-symbolically.
+mode set.  Every creation and annihilation operator is a signed partial
+permutation of that basis: column ``m`` goes to row ``m ^ (1 << k)`` or
+nowhere.  A :class:`FockOperator` stores that flip and one coefficient
+per column, so products are index compositions and the anticommutation
+relations can be checked exhaustively instead of symbolically.
 
 Conventions
 -----------
@@ -22,10 +24,10 @@ Conventions
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DimensionGuard, DimensionMismatch, InvariantViolation
 from .linalg import freeze
@@ -37,7 +39,9 @@ from .polarization import (
 
 __all__ = [
     "MAX_MODES",
+    "NO_TARGET",
     "FockSpace",
+    "FockOperator",
     "FockRep",
     "creation_matrix",
     "build_fock",
@@ -49,10 +53,15 @@ __all__ = [
 ]
 
 #: Largest mode count accepted by :func:`build_fock`.  ``fock-car`` checks
-#: exhaustively: ``n(2n+1)`` products of ``2^n``-square sparse matrices and
-#: ``2^n`` creation words, so its cost grows like ``n^2 2^n``; at the cap one
-#: call takes about half a second on a 2-vCPU machine.
+#: exhaustively: ``n(2n+1)`` products of ``2^n``-square operators and ``n``
+#: gathers over the ``2^n`` creation words, so its cost grows like
+#: ``n^2 2^n``.  At the cap, one call on the fermion model (every generator
+#: a single signed permutation) takes about 0.1 s on a 2-vCPU machine; on a
+#: frame whose generators mix all ``2n`` operators, about 5 s.
 MAX_MODES = 12
+
+#: Target index of an empty column in a :class:`FockOperator` term.
+NO_TARGET = -1
 
 
 @dataclass(frozen=True)
@@ -78,13 +87,21 @@ class FockSpace:
         return tuple(k for k in range(self.n) if index >> k & 1)
 
     def index_of(self, modes) -> int:
-        """Basis index of a subset given as an iterable of distinct modes."""
+        """Basis index of a subset given as an iterable of distinct integer modes."""
+        try:
+            modes = tuple(modes)
+        except TypeError:
+            raise DimensionMismatch(f"mode subset {modes!r} is not iterable") from None
         mask = 0
         for k in modes:
-            bit = 1 << int(k)
-            if not 0 <= int(k) < self.n or mask & bit:
-                raise DimensionMismatch(f"bad mode subset {tuple(modes)}")
-            mask |= bit
+            if (
+                isinstance(k, bool)
+                or not isinstance(k, (int, np.integer))
+                or not 0 <= k < self.n
+                or mask >> int(k) & 1
+            ):
+                raise DimensionMismatch(f"bad mode subset {modes}")
+            mask |= 1 << int(k)
         return mask
 
     @property
@@ -94,30 +111,176 @@ class FockSpace:
         return vac
 
 
-def creation_matrix(n: int, k: int) -> sparse.csr_matrix:
+def _distinct(flips: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries; ``np.unique`` would import ``numpy.ma`` on
+    its first call, about 14 ms of a cold ``fock-car`` process on a 2-vCPU
+    machine."""
+    flips = np.sort(flips, axis=None)
+    keep = np.ones(flips.size, dtype=bool)
+    keep[1:] = flips[1:] != flips[:-1]
+    return flips[keep]
+
+
+@dataclass(frozen=True, eq=False)
+class FockOperator:
+    """A matrix on the ``2^n``-dimensional subset basis, as a sum of
+    column-monomial terms.
+
+    Term ``t`` has at most one entry per column: column ``j`` holds
+    ``coef[t, j]`` at row ``j ^ flips[t]``, and nothing where the
+    coefficient is zero.  :attr:`target` spells this out as one row
+    index per column, ``NO_TARGET`` for an empty one.  Every term is
+    thus a partial permutation times a diagonal, and a creation or
+    annihilation operator is a single term with ``flips = [1 << k]`` and
+    coefficients 0 or +-1: a signed partial permutation.
+
+    The flips are distinct and increasing; sums and products add up the
+    terms that meet at one flip, in order.  Entries of different terms
+    therefore sit at different positions, and the Frobenius norm is the
+    norm of ``coef``.  The product of two terms is the index composition
+    ``coef_a[j ^ flip_b] coef_b[j]`` with flip ``flip_a ^ flip_b``.  An
+    operator with entries at many flips keeps one term per flip, up to
+    ``dim`` terms: the size of a dense matrix.
+    """
+
+    flips: np.ndarray
+    coef: np.ndarray
+
+    # a numpy scalar on the left defers to __rmul__ instead of broadcasting
+    __array_ufunc__ = None
+
+    def __post_init__(self) -> None:
+        flips = np.asarray(self.flips, dtype=np.int64)
+        coef = np.asarray(self.coef, dtype=np.complex128)
+        if flips.ndim != 1 or coef.ndim != 2 or coef.shape[0] != flips.size:
+            raise DimensionMismatch(
+                f"flips {flips.shape} and coef {coef.shape} must be (terms,) and (terms, dim)"
+            )
+        dim = coef.shape[1]
+        if dim < 1 or dim & (dim - 1) or np.any((flips < 0) | (flips >= dim)):
+            raise DimensionMismatch(f"dim {dim} is not a power of two holding the flips")
+        if np.any(flips[1:] <= flips[:-1]):
+            raise DimensionMismatch("flips must be distinct and increasing; add operators to merge")
+        object.__setattr__(self, "flips", freeze(flips))
+        object.__setattr__(self, "coef", freeze(coef))
+
+    @classmethod
+    def _wrap(cls, flips: np.ndarray, coef: np.ndarray) -> FockOperator:
+        """An operator on arrays already in normal form (distinct sorted
+        flips) that no one else holds: made read-only, not copied."""
+        op = object.__new__(cls)
+        for name, arr in (("flips", flips), ("coef", coef)):
+            arr.flags.writeable = False
+            object.__setattr__(op, name, arr)
+        return op
+
+    @classmethod
+    def identity(cls, dim: int) -> FockOperator:
+        return cls._wrap(np.zeros(1, dtype=np.int64), np.ones((1, dim), dtype=np.complex128))
+
+    @property
+    def dim(self) -> int:
+        return self.coef.shape[1]
+
+    def _rows(self) -> np.ndarray:
+        """``rows[t, j] = j ^ flips[t]``; XOR with a flip is an involution."""
+        return np.arange(self.dim) ^ self.flips[:, None]
+
+    @property
+    def target(self) -> np.ndarray:
+        """Row of each term's entry in each column; ``NO_TARGET`` if empty."""
+        return np.where(self.coef != 0, self._rows(), NO_TARGET)
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix."""
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        out[self._rows(), np.arange(self.dim)] = self.coef
+        return out
+
+    @property
+    def H(self) -> FockOperator:
+        """Conjugate transpose: term ``t`` keeps its flip and reads its
+        coefficients at the partner columns ``j ^ flips[t]``."""
+        return FockOperator._wrap(self.flips, np.conj(np.take_along_axis(self.coef, self._rows(), 1)))
+
+    def _check_dim(self, other: FockOperator) -> None:
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"operator dims differ: {self.dim} vs {other.dim}")
+
+    def __add__(self, other):
+        if not isinstance(other, FockOperator):
+            return NotImplemented
+        self._check_dim(other)
+        if np.array_equal(self.flips, other.flips):
+            return FockOperator._wrap(self.flips, self.coef + other.coef)
+        flips = _distinct(np.concatenate([self.flips, other.flips]))
+        coef = np.zeros((flips.size, self.dim), dtype=np.complex128)
+        coef[np.searchsorted(flips, self.flips)] = self.coef
+        coef[np.searchsorted(flips, other.flips)] += other.coef
+        return FockOperator._wrap(flips, coef)
+
+    def __sub__(self, other):
+        if not isinstance(other, FockOperator):
+            return NotImplemented
+        return self + (-1.0) * other
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return FockOperator._wrap(self.flips, np.asarray(scalar * self.coef, dtype=np.complex128))
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        """Product with another operator (an index composition per pair of
+        terms) or with a vector of length ``dim`` (a gather per term)."""
+        if isinstance(other, FockOperator):
+            self._check_dim(other)
+            pair_flips = self.flips[:, None] ^ other.flips
+            flips = _distinct(pair_flips)
+            slot = np.searchsorted(flips, pair_flips)
+            coef = np.zeros((flips.size, self.dim), dtype=np.complex128)
+            # one axis of length 2 per bit of the column index, highest first
+            bits = (2,) * (self.dim.bit_length() - 1)
+            for t, (f, c) in enumerate(zip(other.flips, other.coef)):
+                # term f of `other` sends column j to row j ^ f, where each
+                # term of self reads its column j ^ f: reversing the axes of
+                # the bits f sets reads that without a gather or a copy
+                flipped = tuple(-1 - b for b in range(len(bits)) if f >> b & 1)
+                shifted = np.flip(self.coef.reshape(self.coef.shape[:1] + bits), flipped)
+                for s in range(shifted.shape[0]):
+                    row = coef[slot[s, t]].reshape(bits)
+                    row += shifted[s] * c.reshape(bits)
+            return FockOperator._wrap(flips, coef)
+        x = np.asarray(other)
+        if x.shape != (self.dim,):
+            raise DimensionMismatch(f"vector shape {x.shape} != ({self.dim},)")
+        rows = self._rows()
+        return np.sum(np.take_along_axis(self.coef, rows, 1) * x[rows], axis=0)
+
+
+def creation_matrix(n: int, k: int) -> FockOperator:
     """Wedge insertion of mode ``k`` on the subset basis at ``n`` modes.
 
-    Entry ``[m | 1<<k, m] = (-1)^{popcount(m & ((1<<k)-1))}`` whenever
-    mode ``k`` is absent from ``m``; all other entries vanish.  Squares
-    to zero and raises subset cardinality by exactly one.
+    Column ``m`` holds ``(-1)^{popcount(m & ((1<<k)-1))}`` at row
+    ``m | 1<<k`` whenever mode ``k`` is absent from ``m``, and nothing
+    otherwise.  Squares to zero and raises subset cardinality by exactly
+    one.
     """
     if not 0 <= k < n:
         raise DimensionMismatch(f"mode {k} outside [0, {n})")
-    dim = 1 << n
     bit = 1 << k
-    cols = np.array([m for m in range(dim) if not m & bit], dtype=np.int64)
-    rows = cols | bit
-    signs = np.array(
-        [-1.0 if (int(m) & (bit - 1)).bit_count() % 2 else 1.0 for m in cols]
-    )
-    return sparse.csr_matrix(
-        (signs.astype(np.complex128), (rows, cols)), shape=(dim, dim)
-    )
+    cols = np.arange(1 << n)
+    parity = np.zeros_like(cols)
+    for j in range(k):
+        parity ^= cols >> j & 1
+    free = cols & bit == 0
+    return FockOperator(np.array([bit]), np.where(free, 1.0 - 2.0 * parity, 0.0)[None, :])
 
 
 @dataclass(frozen=True)
 class FockRep:
-    """Creation/annihilation matrices for a g-orthonormal frame of W.
+    """Creation/annihilation operators for a g-orthonormal frame of W.
 
     ``creation[k]`` wedges the k-th frame vector; ``annihilation[k]`` is
     its exact adjoint and represents the conjugate frame vector.  The
@@ -166,12 +329,18 @@ class FockRep:
         Gv = self.ambient.G @ v
         return self.frame.conj().T @ Gv, self.frame.T @ Gv
 
-    def represent(self, v: np.ndarray) -> sparse.csr_matrix:
-        """Clifford action of an arbitrary ambient vector."""
+    def represent(self, v: np.ndarray) -> FockOperator:
+        """Clifford action of an arbitrary ambient vector.
+
+        Coordinates that are exactly zero add nothing and are skipped; a
+        fermion-model generator has one non-zero coordinate, so its image
+        is a single signed permutation.
+        """
         p, q = self.coordinates(v)
-        out = sparse.csr_matrix((self.dim, self.dim), dtype=np.complex128)
-        for k in range(self.n):
-            out = out + p[k] * self.creation[k] + q[k] * self.annihilation[k]
+        out = FockOperator(np.empty(0, dtype=np.int64), np.empty((0, self.dim)))
+        for c, op in zip(np.concatenate([p, q]), self.creation + self.annihilation):
+            if c != 0:
+                out = out + c * op
         return out
 
 
@@ -192,12 +361,13 @@ def build_fock(pol: OrthogonalPolarization) -> FockRep:
         raise DimensionGuard(f"{n} modes exceeds the cap {MAX_MODES}")
     frame = pol.space.g_orthonormalize(pol.wplus.matrix)
     creation = tuple(creation_matrix(n, k) for k in range(n))
-    annihilation = tuple(c.conj().T.tocsr() for c in creation)
+    annihilation = tuple(c.H for c in creation)
     return FockRep(FockSpace(n), pol.space, frame, creation, annihilation)
 
 
-def _frobenius(mat: sparse.spmatrix) -> float:
-    return float(np.sqrt(np.sum(np.abs(mat.data) ** 2))) if mat.nnz else 0.0
+def _frobenius(op: FockOperator) -> float:
+    # distinct terms never share a position
+    return float(np.sqrt(np.sum(np.abs(op.coef) ** 2)))
 
 
 def car_check(rep: FockRep, v: np.ndarray, w: np.ndarray) -> float:
@@ -205,17 +375,14 @@ def car_check(rep: FockRep, v: np.ndarray, w: np.ndarray) -> float:
     pv = rep.represent(v)
     pw = rep.represent(w)
     pairing = complex(np.asarray(v) @ rep.ambient.G @ np.asarray(w))
-    anti = pv @ pw + pw @ pv - pairing * sparse.identity(
-        rep.dim, dtype=np.complex128, format="csr"
-    )
-    return _frobenius(anti)
+    return _frobenius(pv @ pw + pw @ pv - pairing * FockOperator.identity(rep.dim))
 
 
 def adjoint_residual(rep: FockRep, y: np.ndarray) -> float:
     """Deviation of ``pi(y)`` from ``pi(alpha(y))*``."""
     lhs = rep.represent(y)
-    rhs = rep.represent(np.conj(np.asarray(y))).conj().T
-    return _frobenius((lhs - rhs).tocsr())
+    rhs = rep.represent(np.conj(np.asarray(y))).H
+    return _frobenius(lhs - rhs)
 
 
 def generator_residuals(rep: FockRep) -> tuple[float, float]:
@@ -233,15 +400,15 @@ def generator_residuals(rep: FockRep) -> tuple[float, float]:
     gens = np.concatenate([rep.frame, np.conj(rep.frame)], axis=1).T
     reps = [rep.represent(g) for g in gens]
     pairing = gens @ rep.ambient.G @ gens.T
-    one = sparse.identity(rep.dim, dtype=np.complex128, format="csr")
-    car = max(
-        _frobenius(reps[i] @ reps[j] + reps[j] @ reps[i] - pairing[i, j] * one)
-        for i in range(2 * n)
-        for j in range(i, 2 * n)
-    )
-    adjoint = max(
-        _frobenius((reps[k] - reps[k + n].conj().T).tocsr()) for k in range(n)
-    )
+    one = FockOperator.identity(rep.dim)
+
+    def defect(i: int, j: int) -> FockOperator:
+        anti = reps[i] @ reps[j] + reps[j] @ reps[i]
+        # most pairs pair to zero, and subtracting 0 * 1 changes no entry
+        return anti - pairing[i, j] * one if pairing[i, j] != 0 else anti
+
+    car = max(_frobenius(defect(i, j)) for i in range(2 * n) for j in range(i, 2 * n))
+    adjoint = max(_frobenius(reps[k] - reps[k + n].H) for k in range(n))
     return car, adjoint
 
 
@@ -249,12 +416,14 @@ def vacuum_cyclicity_rank(rep: FockRep) -> int:
     """Rank of the span of iterated creations applied to the vacuum.
 
     Cyclicity means the rank equals ``2^n``.  The vector of the creation
-    word ``m`` (modes applied in descending order) is built from that of
-    its prefix by one matvec, ``vec[m] = creation[low] @ vec[m ^ low]``
-    with ``low`` the lowest set bit of ``m``.  Since every creation
-    matrix is a signed partial permutation, each vector is exactly a
-    unit multiple of one basis vector, and the rank is exactly the
-    number of distinct supports; only the support and the unit are
+    word ``m`` (modes applied in descending order) is ``creation[k]``
+    applied to the vector of its prefix ``m ^ (1 << k)``, with ``k`` the
+    lowest mode of ``m``.  Taking ``k`` from ``n - 1`` down to 0, every
+    prefix is done before its words, so all the words of one ``k`` are
+    one gather from the columns of ``creation[k]``.  Since every
+    creation operator is a signed partial permutation, each vector is
+    exactly a unit multiple of one basis vector, and the rank is exactly
+    the number of distinct supports; only the support and the unit are
     kept, never the ``2^n``-square family.
 
     Raises
@@ -266,21 +435,23 @@ def vacuum_cyclicity_rank(rep: FockRep) -> int:
     # the empty word leaves the vacuum, basis vector 0
     support = np.zeros(rep.dim, dtype=np.int64)
     unit = np.ones(rep.dim, dtype=np.complex128)
-    prefix = np.zeros(rep.dim, dtype=np.complex128)
-    for m in range(1, rep.dim):
-        low = m & -m
-        prev = m ^ low
-        prefix[support[prev]] = unit[prev]
-        vec = rep.creation[low.bit_length() - 1] @ prefix
-        prefix[support[prev]] = 0.0
-        nonzero = np.flatnonzero(vec)
-        if nonzero.size != 1 or abs(vec[nonzero[0]]) != 1.0:
+    for k in range(rep.n - 1, -1, -1):
+        words = np.arange(1 << k, rep.dim, 2 << k)
+        prev = words ^ (1 << k)
+        op = rep.creation[k]
+        source = support[prev]
+        # column `source` of each term; distinct terms hit distinct rows
+        entries = op.coef[:, source]
+        hit = entries != 0
+        vals = entries.sum(axis=0) * unit[prev]
+        bad = (np.count_nonzero(hit, axis=0) != 1) | (np.abs(vals) != 1.0)
+        if np.any(bad):
             raise InvariantViolation(
-                f"creation word {m} does not map the vacuum to a unit basis vector"
+                f"creation word {words[bad][0]} does not map the vacuum to a unit basis vector"
             )
-        support[m] = nonzero[0]
-        unit[m] = vec[nonzero[0]]
-    return int(np.unique(support).size)
+        support[words] = np.where(hit, source ^ op.flips[:, None], 0).sum(axis=0)
+        unit[words] = vals
+    return int(np.count_nonzero(np.bincount(support, minlength=rep.dim)))
 
 
 def equivalence_certificate(pol1: OrthogonalPolarization, pol2: OrthogonalPolarization) -> dict:

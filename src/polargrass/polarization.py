@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -81,7 +80,7 @@ class ComplexifiedSpace:
         """Return columns spanning the same space, orthonormal for g."""
         gram = self.gram(cols)
         low = np.linalg.cholesky(0.5 * (gram + gram.conj().T))
-        return solve_triangular(low, cols.T.conj(), lower=True).conj().T
+        return np.linalg.solve(low, cols.T.conj()).conj().T
 
 
 def complexify(t: CompatibleTriple) -> ComplexifiedSpace:

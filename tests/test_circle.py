@@ -194,6 +194,20 @@ def dense_composition_operator(phi, N, K):
     return (outgoing @ powers) / K
 
 
+def two_fft_composition_operator(phi, N, K):
+    """The quadrature with a second cumulative product and FFT for the
+    negative powers ``(1/w)^n``."""
+    theta = 2.0 * np.pi * np.arange(K) / K
+    w = phi.boundary(theta)
+    rows = np.array(mode_indices(N)) % K
+
+    def spectra(base):
+        powers = np.cumprod(np.broadcast_to(base, (N, K)), axis=0)
+        return np.fft.fft(powers, axis=1)[:, rows].T
+
+    return np.hstack([spectra(1.0 / w)[:, ::-1], spectra(w)]) / K
+
+
 QUADRATURE_CASES = [
     rotation_diffeo(0.7),
     mobius_diffeo(0.1 + 0.05j),
@@ -218,6 +232,14 @@ class TestCompositionOperator:
         # (8, 40): K < 2N + 1, so modes alias onto one another in both
         C = composition_operator(phi, N, K)
         ref = dense_composition_operator(phi, N, K)
+        assert np.abs(C - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("phi", QUADRATURE_CASES, ids=QUADRATURE_IDS)
+    def test_conjugate_read_out_matches_two_ffts(self, phi):
+        # the negative columns come from the positive spectra; a separate
+        # product and FFT of 1/w agrees at the top of the grunsky sweep
+        C = composition_operator(phi, 256)
+        ref = two_fft_composition_operator(phi, 256, 16 * 256)
         assert np.abs(C - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("phi", QUADRATURE_CASES, ids=QUADRATURE_IDS)

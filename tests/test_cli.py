@@ -465,3 +465,36 @@ def test_help_lists_all_verbs(runner):
         "report-suite",
     ):
         assert verb in result.output
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+from importlib import resources
+from polargrass import cli
+config = json.loads(
+    resources.files("polargrass").joinpath("configs/acceptance_suite.json").read_text()
+)
+suite, suite_code = cli.run_suite(config)
+fock, fock_code = cli.run_verb("fock-car", {"model": "fermion", "cutoff": 9}, cli.Options())
+grunsky, grunsky_code = cli.run_verb(
+    "grunsky", {"diffeo": {"kind": "fourier_flow", "coeffs": [[2, 0.15]]}, "cutoff": 16},
+    cli.Options(),
+)
+print(json.dumps({
+    "codes": [suite_code, fock_code, grunsky_code],
+    "modes": fock["outputs"]["modes"],
+    "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+}))
+"""
+
+
+def test_no_verb_loads_scipy():
+    # a fresh interpreter: the suite (which generates its inputs through
+    # sampling), fock-car at 10 modes and grunsky run on numpy alone
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0, 0, 0] and out["modes"] == 10
+    assert out["scipy"] == []

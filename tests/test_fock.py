@@ -6,13 +6,14 @@ import time
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from polargrass.circle import fermion_polarization
 from polargrass.cli import CAR_TOL, Options, run_verb
 from polargrass.errors import DimensionGuard, DimensionMismatch, InvariantViolation
 from polargrass.fock import (
     MAX_MODES,
+    NO_TARGET,
+    FockOperator,
     FockSpace,
     adjoint_residual,
     build_fock,
@@ -59,6 +60,22 @@ class TestFockSpace:
         with pytest.raises(DimensionMismatch):
             sp.index_of((3,))
 
+    @pytest.mark.parametrize(
+        "modes", [(-1,), (1.5,), (True,), (np.float64(1.0),), ("1",), (0, 3), 2, None]
+    )
+    def test_index_of_rejects_by_name(self, modes):
+        # negative, fractional, boolean, string and out-of-range modes and
+        # non-iterables all raise DimensionMismatch, never a bare ValueError
+        with pytest.raises(DimensionMismatch):
+            FockSpace(3).index_of(modes)
+
+    def test_index_of_takes_any_iterable(self):
+        sp = FockSpace(3)
+        assert sp.index_of(iter((0, 2))) == 5
+        assert sp.index_of(np.array([1, 2])) == 6
+        with pytest.raises(DimensionMismatch, match=r"\(0, 0\)"):
+            sp.index_of(iter((0, 0)))
+
     def test_vacuum(self):
         vac = FockSpace(2).vacuum
         assert vac[0] == 1.0 and np.count_nonzero(vac) == 1
@@ -85,17 +102,112 @@ class TestCreationMatrix:
     def test_squares_to_zero(self):
         for k in range(3):
             c = creation_matrix(3, k)
-            assert (c @ c).nnz == 0
+            assert np.count_nonzero((c @ c).coef) == 0
 
     def test_raises_degree_by_one(self):
         sp = FockSpace(3)
-        c = creation_matrix(3, 1).tocoo()
-        for r, col in zip(c.row, c.col):
-            assert len(sp.subset(int(r))) == len(sp.subset(int(col))) + 1
+        target = creation_matrix(3, 1).target[0]
+        for col in np.flatnonzero(target != NO_TARGET):
+            assert len(sp.subset(int(target[col]))) == len(sp.subset(int(col))) + 1
 
     def test_mode_out_of_range(self):
         with pytest.raises(DimensionMismatch):
             creation_matrix(2, 2)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_jordan_wigner(self, n):
+        # c_k = 1 x ... x 1 x sigma^+ x Z x ... x Z, modes from n - 1 down
+        # to 0 (mode 0 is the last kron factor, the lowest bit): the parity
+        # sign comes from the modes below k
+        for k in range(n):
+            dense = np.ones((1, 1))
+            for j in range(n - 1, -1, -1):
+                if j > k:
+                    factor = np.eye(2)
+                elif j < k:
+                    factor = np.diag([1.0, -1.0])
+                else:
+                    factor = np.array([[0.0, 0.0], [1.0, 0.0]])
+                dense = np.kron(dense, factor)
+            c = creation_matrix(n, k)
+            assert np.array_equal(c.toarray(), dense)
+            assert np.array_equal(c.H.toarray(), dense.T)
+
+
+def random_operator(rng, dim, terms):
+    """Single-term operators at random, often repeated, flips."""
+    flips = rng.integers(0, dim, size=terms)
+    coef = rng.normal(size=(terms, dim)) + 1j * rng.normal(size=(terms, dim))
+    coef[rng.random((terms, dim)) < 0.3] = 0.0
+    return flips, coef
+
+
+def summed(flips, coef):
+    dim = coef.shape[1]
+    out = FockOperator(np.empty(0, dtype=np.int64), np.empty((0, dim)))
+    for f, c in zip(flips, coef):
+        out = out + FockOperator(np.array([f]), c[None, :])
+    return out
+
+
+def dense_of(flips, coef):
+    dim = coef.shape[1]
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for f, c in zip(flips, coef):
+        out[np.arange(dim) ^ f, np.arange(dim)] += c
+    return out
+
+
+class TestFockOperator:
+    @pytest.mark.parametrize("dim, terms", [(1, 1), (2, 3), (8, 5), (16, 40)])
+    def test_arithmetic_matches_dense(self, rng, dim, terms):
+        raw_a, raw_b = random_operator(rng, dim, terms), random_operator(rng, dim, terms)
+        A, B = summed(*raw_a), summed(*raw_b)
+        da, db = dense_of(*raw_a), dense_of(*raw_b)
+        # repeated flips are summed, leaving one term per flip
+        assert np.all(np.diff(A.flips) > 0) and A.flips.size <= min(dim, terms)
+        assert np.abs(A.toarray() - da).max() <= 1e-14
+        assert np.abs((A @ B).toarray() - da @ db).max() <= 1e-12
+        assert np.abs((A + B).toarray() - (da + db)).max() <= 1e-14
+        assert np.abs((A - 2.5j * B).toarray() - (da - 2.5j * db)).max() <= 1e-14
+        assert np.array_equal(A.H.toarray(), da.conj().T)
+        x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        assert np.abs(A @ x - da @ x).max() <= 1e-12
+        target = A.target
+        for t, j in zip(*np.nonzero(target != NO_TARGET)):
+            assert A.toarray()[target[t, j], j] != 0.0
+        assert np.count_nonzero(target != NO_TARGET) == np.count_nonzero(da)
+
+    def test_numpy_scalar_on_the_left(self):
+        c = creation_matrix(2, 0)
+        scaled = np.complex128(2.0 - 1.0j) * c
+        assert isinstance(scaled, FockOperator)
+        assert np.array_equal(scaled.toarray(), (2.0 - 1.0j) * c.toarray())
+
+    @pytest.mark.parametrize(
+        "flips, coef",
+        [
+            (np.array([0]), np.ones((1, 3))),  # dim not a power of two
+            (np.array([4]), np.ones((1, 4))),  # flip outside the basis
+            (np.array([-1]), np.ones((1, 4))),
+            (np.array([0, 1]), np.ones((1, 4))),  # one flip per term
+            (np.array([[0]]), np.ones((1, 4))),
+            (np.array([1, 1]), np.ones((2, 4))),  # repeated flips are added, not stacked
+            (np.array([2, 1]), np.ones((2, 4))),
+        ],
+    )
+    def test_malformed_stack(self, flips, coef):
+        with pytest.raises(DimensionMismatch):
+            FockOperator(flips, coef)
+
+    def test_dimension_mismatch(self):
+        a, b = creation_matrix(2, 0), creation_matrix(3, 0)
+        with pytest.raises(DimensionMismatch):
+            a @ b
+        with pytest.raises(DimensionMismatch):
+            a + b
+        with pytest.raises(DimensionMismatch):
+            a @ np.zeros(8)
 
 
 class TestRepresentation:
@@ -212,13 +324,19 @@ class TestCyclicityCertificate:
         with pytest.raises(InvariantViolation):
             vacuum_cyclicity_rank(dataclasses.replace(rep, creation=scaled))
 
+    def test_two_entries_in_a_column_are_rejected(self):
+        # c0 + c1 sends the vacuum to e1 + e2: not one basis vector
+        rep = build_fock(fermion_polarization(1))
+        mixed = rep.creation[0] + rep.creation[1]
+        with pytest.raises(InvariantViolation):
+            vacuum_cyclicity_rank(dataclasses.replace(rep, creation=(mixed, rep.creation[1])))
+
     def test_repeated_supports_lower_the_rank(self):
         # a full permutation swapping 0 <-> 1 and 2 <-> 3 for both modes:
         # the words land on e1, e1, e0 after the vacuum, so two supports
         rep = build_fock(fermion_polarization(1))
-        swap = sparse.csr_matrix(
-            np.eye(4, dtype=np.complex128)[[1, 0, 3, 2]]
-        )
+        swap = FockOperator(np.array([1]), np.ones((1, 4)))
+        assert np.array_equal(swap.toarray(), np.eye(4)[[1, 0, 3, 2]])
         tampered = dataclasses.replace(rep, creation=(swap, swap))
         assert vacuum_cyclicity_rank(tampered) == 2
         assert int(np.linalg.matrix_rank(dense_word_family(tampered))) == 2
@@ -240,6 +358,50 @@ class TestGeneratorResiduals:
         gens = generators(rep)
         car = max(car_check(rep, v, w) for v in gens for w in gens)
         return car, max(adjoint_residual(rep, g) for g in gens)
+
+    @staticmethod
+    def dense(rep):
+        """The residuals from dense matrices, every entry summed once."""
+        gens = generators(rep)
+        mats = [rep.represent(g).toarray() for g in gens]
+        G = rep.ambient.G
+        one = np.eye(rep.dim)
+        car = max(
+            np.linalg.norm(a @ b + b @ a - complex(v @ G @ w) * one)
+            for v, a in zip(gens, mats)
+            for w, b in zip(gens, mats)
+        )
+        adjoint = max(
+            np.linalg.norm(a - rep.represent(np.conj(g)).toarray().conj().T)
+            for g, a in zip(gens, mats)
+        )
+        return car, adjoint
+
+    @pytest.mark.parametrize("modes", [3, 4, 5])
+    def test_rotated_frame_agrees_with_dense(self, modes):
+        # every generator mixes all 2n operators, so entries repeat across
+        # terms and must be summed before the norm
+        rep, _ = rotated_frame_rep(modes, 400 + modes)
+        car, adjoint = generator_residuals(rep)
+        ref_car, ref_adjoint = self.dense(rep)
+        assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
+
+    def test_tampered_rep_agrees_with_dense(self):
+        rep = build_fock(fermion_polarization(3))
+        bad = (rep.creation[0] + rep.annihilation[0],) + rep.creation[1:]
+        tampered = dataclasses.replace(rep, creation=bad)
+        car, adjoint = generator_residuals(tampered)
+        ref_car, ref_adjoint = self.dense(tampered)
+        assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
+
+    @pytest.mark.parametrize("modes", [4, 7, 10])
+    def test_fermion_generators_are_single_terms(self, modes):
+        # one-hot coordinates: each generator is one signed permutation
+        rep = build_fock(fermion_polarization(modes - 1))
+        for g in generators(rep):
+            p, q = rep.coordinates(g)
+            assert np.count_nonzero(np.concatenate([p, q])) == 1
+            assert rep.represent(g).flips.size == 1
 
     @pytest.mark.parametrize("modes", [3, 4, 5])
     def test_fermion_agrees_with_pairwise(self, modes):

@@ -66,6 +66,18 @@ class TestComplexify:
         F = space.g_orthonormalize(cols)
         assert hs_norm(space.gram(F) - np.eye(2)) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_g_orthonormalize_matches_triangular_solve(self, rng, n):
+        # the Cholesky route written with scipy's triangular solve, which
+        # the library no longer imports
+        solve_triangular = pytest.importorskip("scipy.linalg").solve_triangular
+        space = complexify(pullback_triple(random_invertible(2 * n, rng), standard_triple(n)))
+        cols = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+        gram = space.gram(cols)
+        low = np.linalg.cholesky(0.5 * (gram + gram.conj().T))
+        ref = solve_triangular(low, cols.T.conj(), lower=True).conj().T
+        assert np.abs(space.g_orthonormalize(cols) - ref).max() <= 1e-13
+
 
 class TestEigensplit:
     def test_dual_is_exact_inverse(self, standard4):
