@@ -32,7 +32,7 @@ from .errors import (
     NotIncreasing,
     NotUpperHalf,
 )
-from .linalg import Frame, check_invertible, hs_norm, right_divide
+from .linalg import Frame, check_invertible, hs_norm
 from .polarization import (
     ComplexifiedSpace,
     EigenSplit,
@@ -40,7 +40,7 @@ from .polarization import (
     complexify,
 )
 from .serialize import _check_keys, _entry
-from .siegel import BlockSymplectic, SiegelPoint, UpperHalfPoint
+from .siegel import SiegelPoint, UpperHalfPoint, mobius
 from .triples import BilinearForm, CompatibleTriple, ComplexStructure
 
 #: Relative sigma_min floor for the diagonal block ``a`` of a composition operator.
@@ -348,10 +348,8 @@ class CompositionBlocks:
         return hs_norm(D[:M, :M])
 
     def transform(self, Z: np.ndarray) -> np.ndarray:
-        """Disk action ``Z -> (b + conj(a) Z)(a + conj(b) Z)^{-1}``."""
-        den = self.a + self.b.conj() @ Z
-        return right_divide(self.b + self.a.conj() @ Z, den, 1e-10, BlockSingular,
-                            "transform denominator is singular")
+        """Disk action :func:`polargrass.siegel.mobius` of the raw blocks."""
+        return mobius(self.a, self.b, Z, 1e-10, BlockSingular, "transform denominator is singular")
 
 
 def composition_blocks(phi: CircleDiffeo, N: int, K: int | None = None) -> CompositionBlocks:

@@ -60,6 +60,9 @@ SUITE_SCHEMA = "suite.v1"
 CHART_RECONSTRUCTION_TOL = 1e-7
 TORUS_PERIOD_TOL = 1e-9
 CAR_TOL = 1e-12
+#: Loosest antisymmetry budget ``chart-transition`` accepts as ``atol``: the
+#: loosest the package gives an OrthoGraphOperator (holomorphy_check).
+MAX_CHART_ATOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -261,8 +264,8 @@ def _verb_chart_find(obj) -> dict:
 def _verb_chart_transition(obj) -> dict:
     se._check_keys(obj, ("Z", "source", "target"), ("atol",))
     atol = obj.get("atol", 1e-10)
-    if not isinstance(atol, (int, float)) or isinstance(atol, bool) or not 0 < atol < float("inf"):
-        raise FormatError(f"atol must be a positive finite number, got {atol!r}")
+    if not isinstance(atol, (int, float)) or isinstance(atol, bool) or not 0 < atol <= MAX_CHART_ATOL:
+        raise FormatError(f"atol must be a positive number at most {MAX_CHART_ATOL:g}, got {atol!r}")
     Z1 = OrthoGraphOperator(se.matrix_from_json(obj["Z"]), atol=float(atol))
     S1 = se.chart_index_from_json(obj["source"])
     S2 = se.chart_index_from_json(obj["target"])

@@ -1,22 +1,26 @@
-"""The Siegel disk, paired symplectic blocks and the Mobius action.
+"""Paired blocks and graph coordinates for both settings; the Siegel disk.
 
-Points are symmetric strict contractions Z (n x n complex).  Symplectic
-maps commuting with the real structure act through alpha-paired blocks
-``[[a, conj(b)], [b, conj(a)]]``; the disk action is
-``Z -> (b + conj(a) Z)(a + conj(b) Z)^{-1}``.
+Real maps commuting with the real structure act through alpha-paired
+blocks ``[[a, conj(b)], [b, conj(a)]]``: symplectic for ``sign = 1``,
+orthogonal for ``sign = -1``.  A polarization in a chart is the graph of Z
+(symmetric, resp. antisymmetric) over the chart center, and the blocks act
+on it by ``Z -> (b + conj(a) Z)(a + conj(b) Z)^{-1}``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar, Iterable
 
 import numpy as np
 
 from .errors import (
     BoundaryContact,
     DimensionMismatch,
+    FormatError,
     InvariantViolation,
+    NotOrthogonal,
     NotSymplectic,
     NotUpperHalf,
     NumericallySingular,
@@ -42,9 +46,35 @@ from .linalg import (
 )
 from .polarization import EigenSplit, PositiveSymplecticPolarization
 
+#: Relative cut at or below which a chart projection's singular value is kernel.
+KERNEL_THRESHOLD = 1e-8
+
 
 @dataclass(frozen=True)
-class SiegelPoint:
+class SignedMatrix:
+    """A square matrix with ``Z^T = sign Z`` within the relative budget ``atol``.
+
+    The graph coordinates of both settings: symmetric for ``sign = 1``,
+    antisymmetric for ``sign = -1``.  Subclasses add their own conditions.
+    """
+
+    sign: ClassVar[int] = 1
+    Z: np.ndarray
+    atol: float = field(default=1e-10, compare=False)
+
+    def __post_init__(self) -> None:
+        Z = as_matrix(self.Z, square=True)
+        what = "Z not symmetric" if self.sign > 0 else "Z not antisymmetric"
+        check_symmetry(Z, self.sign, self.atol, InvariantViolation, what)
+        object.__setattr__(self, "Z", freeze(Z))
+
+    @property
+    def n(self) -> int:
+        return self.Z.shape[0]
+
+
+@dataclass(frozen=True)
+class SiegelPoint(SignedMatrix):
     """A symmetric strict contraction; ``atol`` is the symmetry budget.
 
     The default budget (1e-10) suits algebraically constructed points;
@@ -52,22 +82,14 @@ class SiegelPoint:
     ``opnorm`` is ``||Z||_op`` from the contraction check.
     """
 
-    Z: np.ndarray
-    atol: float = field(default=1e-10, compare=False)
     opnorm: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        Z = as_matrix(self.Z, square=True)
-        check_symmetry(Z, 1.0, self.atol, InvariantViolation, "Z not symmetric")
-        norm = op_norm(Z)
+        super().__post_init__()
+        norm = op_norm(self.Z)
         if norm >= 1.0 - 1e-12:
             raise InvariantViolation(f"Z not a strict contraction (opnorm {norm:.6f})")
-        object.__setattr__(self, "Z", freeze(Z))
         object.__setattr__(self, "opnorm", norm)
-
-    @property
-    def n(self) -> int:
-        return self.Z.shape[0]
 
 
 @dataclass(frozen=True)
@@ -101,22 +123,13 @@ def siegel_membership(Z, tol: Tolerances = DEFAULT_TOL, sym_tol: float | None = 
 
 
 @dataclass(frozen=True)
-class UpperHalfPoint:
+class UpperHalfPoint(SignedMatrix):
     """Symmetric Z with positive definite imaginary part."""
 
-    Z: np.ndarray
-    atol: float = field(default=1e-10, compare=False)
-
     def __post_init__(self) -> None:
-        Z = as_matrix(self.Z, square=True)
-        check_symmetry(Z, 1.0, self.atol, InvariantViolation, "Z not symmetric")
-        if min_eig_hermitian((Z - Z.conj().T) / 2j) <= 0.0:
+        super().__post_init__()
+        if min_eig_hermitian((self.Z - self.Z.conj().T) / 2j) <= 0.0:
             raise NotUpperHalf("imaginary part is not positive definite")
-        object.__setattr__(self, "Z", freeze(Z))
-
-    @property
-    def n(self) -> int:
-        return self.Z.shape[0]
 
 
 def halfspace_membership(Z, tol: Tolerances = DEFAULT_TOL) -> SiegelReport:
@@ -142,45 +155,55 @@ def disk_to_halfspace(p: SiegelPoint) -> UpperHalfPoint:
     return UpperHalfPoint(res, atol=max(p.atol, 1e-10))
 
 
-class BlockSymplectic:
-    """Paired blocks (a, b) of a symplectic map commuting with alpha.
+class PairedBlocks:
+    """Paired blocks (a, b) of a real map ``M = [[a, conj(b)], [b, conj(a)]]``.
 
-    Invariants (within ``atol``): ``a* a - b* b = I`` and
-    ``a^T b = b^T a`` in the equivalent form ``a* conj(b) = b* conj(a)``;
-    ``a`` must be invertible.
+    Invariants: ``a* a - sign b* b = I`` and ``a^T b = sign b^T a``.  For
+    ``sign = 1`` (symplectic) each holds within ``atol`` relative to
+    ``||a||^2`` and ``a`` must be invertible; for ``sign = -1`` (orthogonal)
+    ``M* M - I`` is within ``atol`` relative to ``||M||``, and a singular
+    ``a`` is legitimate: M then moves L+ onto a subspace meeting L-.
     """
 
-    __slots__ = ("a", "b", "atol")
+    __slots__ = ("a", "b", "sign", "atol")
 
-    def __init__(self, a, b, atol: float = 1e-9) -> None:
+    def __init__(self, a, b, sign: int = 1, atol: float = 1e-9) -> None:
         a = as_matrix(a, square=True)
         b = as_matrix(b, square=True)
         if a.shape != b.shape:
             raise DimensionMismatch(f"block shapes differ: {a.shape} vs {b.shape}")
-        eye = np.eye(a.shape[0])
-        dev1 = hs_norm(a.conj().T @ a - b.conj().T @ b - eye)
-        dev2 = hs_norm(a.conj().T @ b.conj() - b.conj().T @ a.conj())
-        scale = hs_norm(a) ** 2
-        if not (within(dev1, atol, scale) and within(dev2, atol, scale)):
-            raise NotSymplectic(f"block identities fail ({dev1:.3e}, {dev2:.3e})")
-        check_invertible(a, 1e-12, NumericallySingular, "block a is singular")
+        if sign not in (1, -1):
+            raise FormatError(f"sign must be 1 or -1, got {sign!r}")
+        dev1 = hs_norm(a.conj().T @ a - sign * (b.conj().T @ b) - np.eye(a.shape[0]))
+        dev2 = hs_norm(a.T @ b - sign * (b.T @ a))
+        what = f"block identities fail ({dev1:.3e}, {dev2:.3e})"
+        if sign > 0:
+            scale = hs_norm(a) ** 2
+            if not (within(dev1, atol, scale) and within(dev2, atol, scale)):
+                raise NotSymplectic(what)
+            check_invertible(a, 1e-12, NumericallySingular, "block a is singular")
+        # M* M - I holds each residual block twice, as M holds each block
+        elif not within(math.sqrt(2.0) * math.hypot(dev1, dev2), atol,
+                        math.sqrt(2.0) * math.hypot(hs_norm(a), hs_norm(b))):
+            raise NotOrthogonal(what)
         object.__setattr__(self, "a", freeze(a))
         object.__setattr__(self, "b", freeze(b))
+        object.__setattr__(self, "sign", int(sign))
         object.__setattr__(self, "atol", float(atol))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("BlockSymplectic is immutable")
+        raise AttributeError("PairedBlocks is immutable")
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
 
     @classmethod
-    def identity(cls, n: int) -> "BlockSymplectic":
-        return cls(np.eye(n), np.zeros((n, n)))
+    def identity(cls, n: int, sign: int = 1) -> "PairedBlocks":
+        return cls(np.eye(n), np.zeros((n, n)), sign)
 
     @classmethod
-    def from_unitary(cls, u) -> "BlockSymplectic":
+    def from_unitary(cls, u) -> "PairedBlocks":
         """The symplectic map with b = 0 determined by a unitary block."""
         u = as_matrix(u, square=True)
         return cls(u, np.zeros_like(u))
@@ -189,28 +212,35 @@ class BlockSymplectic:
         """Full 2n x 2n matrix in the paired eigencoordinates."""
         return np.block([[self.a, self.b.conj()], [self.b, self.a.conj()]])
 
-    def inverse(self) -> "BlockSymplectic":
-        return BlockSymplectic(self.a.conj().T, -self.b.T, atol=self.atol)
+    def inverse(self) -> "PairedBlocks":
+        return PairedBlocks(self.a.conj().T, -self.sign * self.b.T, self.sign, atol=self.atol)
 
-    def compose(self, other: "BlockSymplectic") -> "BlockSymplectic":
+    def compose(self, other: "PairedBlocks") -> "PairedBlocks":
         """Blocks of ``self o other``."""
         if self.n != other.n:
             raise DimensionMismatch("sizes differ")
+        if self.sign != other.sign:
+            raise ShapeViolation("cannot compose blocks of different signs")
         a = self.a @ other.a + self.b.conj() @ other.b
         b = self.b @ other.a + self.a.conj() @ other.b
-        return BlockSymplectic(a, b, atol=max(self.atol, other.atol))
+        return PairedBlocks(a, b, self.sign, atol=max(self.atol, other.atol))
 
     def __repr__(self) -> str:
-        return f"BlockSymplectic(n={self.n})"
+        return f"PairedBlocks(n={self.n}, sign={self.sign:+d})"
 
 
-def block_decompose(u, split: EigenSplit, tol: Tolerances = DEFAULT_TOL, atol: float | None = None) -> BlockSymplectic:
-    """Compress a real symplectic map into paired blocks.
+#: The symplectic (``sign = 1``) paired blocks, under their historical name.
+BlockSymplectic = PairedBlocks
+
+
+def block_decompose(u, split: EigenSplit, sign: int = 1, tol: Tolerances = DEFAULT_TOL, atol: float | None = None) -> PairedBlocks:
+    """Compress a real map into paired blocks.
 
     Parameters
     ----------
     u
-        Real matrix preserving the symplectic form of ``split.space``.
+        Real matrix preserving the symplectic form (``sign = 1``) or the
+        metric (``sign = -1``) of ``split.space``.
     split
         Paired eigenbasis fixing the coordinates.
     atol
@@ -218,17 +248,18 @@ def block_decompose(u, split: EigenSplit, tol: Tolerances = DEFAULT_TOL, atol: f
 
     Raises
     ------
-    NotSymplectic
-        If u fails to preserve omega.
+    NotSymplectic, NotOrthogonal
+        If u fails to preserve omega (``sign = 1``) or g (``sign = -1``).
     ShapeViolation
         If the compressed matrix is not alpha-paired (cannot happen for
         real u; guards against passing a non-real matrix).
     """
     u = as_matrix(u, square=True)
-    Om = split.space.Omega
-    dev = hs_norm(u.T @ Om @ u - Om)
-    if dev > tol.eq_tol * max(1.0, op_norm(u) ** 2) * max(1.0, hs_norm(Om)):
-        raise NotSymplectic(f"omega preservation fails by {dev:.3e}")
+    form = split.space.Omega if sign > 0 else split.space.G
+    dev = hs_norm(u.T @ form @ u - form)
+    if dev > tol.eq_tol * max(1.0, op_norm(u) ** 2) * max(1.0, hs_norm(form)):
+        error, what = (NotSymplectic, "omega") if sign > 0 else (NotOrthogonal, "metric")
+        raise error(f"{what} preservation fails by {dev:.3e}")
     M = split.compress(u)
     n = split.n
     a, tr = M[:n, :n], M[:n, n:]
@@ -237,28 +268,40 @@ def block_decompose(u, split: EigenSplit, tol: Tolerances = DEFAULT_TOL, atol: f
     budget = 1e-9 if atol is None else atol
     if pair_dev > budget * max(1.0, hs_norm(M)):
         raise ShapeViolation(f"compressed matrix is not alpha-paired ({pair_dev:.3e})")
-    return BlockSymplectic(a, b, atol=budget)
+    return PairedBlocks(a, b, sign, atol=budget)
 
 
-def mobius_act(u: BlockSymplectic, p: SiegelPoint) -> SiegelPoint:
-    """Act on a disk point: ``Z -> (b + conj(a) Z)(a + conj(b) Z)^{-1}``.
+def mobius(a, b, Z, rel: float, error: type, what: str) -> np.ndarray:
+    """``Z -> (b + conj(a) Z)(a + conj(b) Z)^{-1}``, the paired-block action on
+    graph coordinates; the denominator is guarded by :func:`right_divide`."""
+    return right_divide(b + a.conj() @ Z, a + b.conj() @ Z, rel, error, what)
+
+
+def mobius_act(u: PairedBlocks, p: SignedMatrix) -> SignedMatrix:
+    """Act on a graph coordinate; the result has the type of ``p``.
+
+    ``p`` is a :class:`SiegelPoint` for ``u.sign = 1`` (the disk action) or
+    an antisymmetric ``OrthoGraphOperator`` over L+ for ``u.sign = -1``.
 
     Raises
     ------
+    ShapeViolation
+        If the sign of ``p`` differs from ``u.sign``.
     NumericallySingular
         If the denominator is numerically singular (it is invertible in
-        exact arithmetic for strict contractions).
+        exact arithmetic for strict contractions; for ``sign = -1`` a
+        singular one means the image leaves the chart around L+).
     """
     if u.n != p.n:
         raise DimensionMismatch("block size does not match the point")
-    den = u.a + u.b.conj() @ p.Z
-    num = u.b + u.a.conj() @ p.Z
-    Z2 = right_divide(num, den, 1e-12, NumericallySingular, "denominator is singular")
+    if u.sign != p.sign:
+        raise ShapeViolation(f"blocks of sign {u.sign:+d} cannot act on {type(p).__name__}")
+    Z2 = mobius(u.a, u.b, p.Z, 1e-12, NumericallySingular, "denominator is singular")
     sym_budget = max(p.atol, u.atol * 10.0, 1e-10)
-    return SiegelPoint(Z2, atol=sym_budget)
+    return type(p)(Z2, atol=sym_budget)
 
 
-def sp_from_siegel_point(p: SiegelPoint) -> BlockSymplectic:
+def sp_from_siegel_point(p: SiegelPoint) -> PairedBlocks:
     """The positive-gauge symplectic map sending 0 to Z.
 
     Blocks are ``a = (I - conj(Z) Z)^{-1/2}`` (Hermitian positive) and
@@ -267,14 +310,62 @@ def sp_from_siegel_point(p: SiegelPoint) -> BlockSymplectic:
     """
     Z = p.Z
     a = inverse_sqrt_hermitian(np.eye(p.n) - Z.conj() @ Z)
-    return BlockSymplectic(a, Z @ a)
+    return PairedBlocks(a, Z @ a)
+
+
+def chart_slots(n: int, swapped: Iterable[int] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Paired-basis columns of a chart center and of their partners.
+
+    Slot j (1-based) of the center holds ``e_{-j}`` for j in ``swapped`` and
+    ``e_j`` otherwise; its partner is the other one.  ``swapped = ()`` gives
+    L+ with partners L-.
+    """
+    swapped = np.fromiter(swapped, dtype=int)
+    if swapped.size and swapped.max() > n:
+        raise DimensionMismatch(f"chart index {swapped.max()} exceeds n={n}")
+    slots = np.arange(n)
+    slots[swapped - 1] += n
+    return slots, (slots + n) % (2 * n)
+
+
+def graph_columns(split: EigenSplit, Z, swapped: Iterable[int] = ()) -> np.ndarray:
+    """Columns spanning the graph ``{x + Zx}`` of Z over a chart center."""
+    slots, perp = chart_slots(split.n, swapped)
+    return split.basis[:, slots] + split.basis[:, perp] @ Z
+
+
+def chart_solve(dual: np.ndarray, cols: np.ndarray, swapped: Iterable[int] = ()) -> tuple[int, np.ndarray]:
+    """Read ``span(cols)`` as a graph over a chart center from one SVD of the
+    projection ``C = dual[slots] @ cols`` (``dual`` is the split's dual basis).
+
+    Returns ``(0, Z)`` with ``Z = dual[perp] @ cols @ C^{-1}`` if C has no
+    singular value at or below ``KERNEL_THRESHOLD * max(1, sigma_max)``, else
+    ``(k, x)``: k such values, and ``cols @ x`` a kernel vector.
+
+    Raises
+    ------
+    ProjectionSingular
+        If the SVD fails or a singular value is not finite.
+    """
+    slots, perp = chart_slots(dual.shape[0] // 2, swapped)
+    C = dual[slots] @ cols
+    try:
+        _, svals, vh = np.linalg.svd(C)
+    except np.linalg.LinAlgError as exc:
+        raise ProjectionSingular(f"projection onto the chart center: {exc}") from exc
+    if not np.all(np.isfinite(svals)):
+        raise ProjectionSingular("projection onto the chart center is not finite")
+    kernel = int(np.sum(svals <= KERNEL_THRESHOLD * max(1.0, svals.max(initial=0.0))))
+    if kernel:
+        return kernel, vh[-1].conj()
+    return 0, np.linalg.solve(C.T, (dual[perp] @ cols).T).T
 
 
 def graph_frame(p: SiegelPoint, split: EigenSplit) -> Frame:
     """Frame of the graph subspace ``{x + Zx : x in L+}``."""
     if p.n != split.n:
         raise DimensionMismatch("point size does not match the split")
-    return Frame.from_columns(split.lplus + split.lminus @ p.Z)
+    return Frame.from_columns(graph_columns(split, p.Z))
 
 
 def graph_operator(w, split: EigenSplit, atol: float = 1e-10) -> SiegelPoint:
@@ -290,8 +381,9 @@ def graph_operator(w, split: EigenSplit, atol: float = 1e-10) -> SiegelPoint:
     frame = w.wplus if isinstance(w, PositiveSymplecticPolarization) else w
     if frame.ambient_dim != 2 * split.n or frame.rank != split.n:
         raise DimensionMismatch("frame shape does not match the split")
-    cplus, cminus = split.coords(frame.matrix)
-    Z = right_divide(cminus, cplus, 1e-8, ProjectionSingular, "projection to L+ is singular")
+    kernel, Z = chart_solve(split.dual, frame.matrix)
+    if kernel:
+        raise ProjectionSingular(f"projection to L+ is singular (kernel dimension {kernel})")
     return SiegelPoint(Z, atol=atol)
 
 
@@ -302,14 +394,15 @@ class RestrictedReport:
     hs_jdef_direct: float
 
 
-def restricted_character(u: BlockSymplectic) -> RestrictedReport:
+def restricted_character(u: PairedBlocks) -> RestrictedReport:
     """Hilbert-Schmidt data of the J-deformation ``u^{-1} J u - J``.
 
     Returns the block norm ``||b||_HS``, the deformation norm assembled
     from the closed block form ``2i [[b*b, b*conj(a)], [-b^T a, -conj(b*b)]]``,
     and the same quantity recomputed from the full matrices as a
-    cross-check.  The deformation vanishes exactly when b = 0, i.e. when
-    u also preserves the metric.
+    cross-check.  The closed form is that of ``sign = 1``; for ``sign = -1``
+    the deformation is its negative, with the same norm.  The deformation
+    vanishes exactly when b = 0, i.e. when u also preserves the other form.
     """
     a, b = u.a, u.b
     hermit = b.conj().T @ b

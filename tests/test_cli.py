@@ -163,6 +163,16 @@ class TestGeometryVerbs:
         assert rep["outputs"]["Z"]["model"] == "disk"
         assert all(re == 0.0 and im == 0.0 for re, im in rep["outputs"]["Z"]["data"])
 
+    def test_act_with_singular_block_is_a_named_error(self, runner, tmp_path):
+        payload = {
+            "a": matrix_to_json(np.diag([1e5, 0.0])),
+            "b": matrix_to_json(np.diag([np.sqrt(1e10 - 1), 0.0])),
+            "Z": disk_point_to_json(SiegelPoint(np.zeros((2, 2)))),
+        }
+        result = invoke(runner, tmp_path, "siegel-act", payload)
+        assert result.exit_code == 2
+        assert report_of(result)["error"] == "NumericallySingular"
+
 
 class TestCircleVerbs:
     def test_grunsky_flag_overrides_input(self, runner, tmp_path):
@@ -289,6 +299,33 @@ class TestChartVerbs:
         report, code = cli.run_verb("chart-transition", payload, cli.Options())
         assert code == 1
         assert report["error"] == "FormatError"
+
+    def test_transition_atol_above_ceiling_is_rejected(self, tmp_path):
+        # with a loose budget a non-antisymmetric Z would pass
+        path = tmp_path / "input.json"
+        Z = np.array([[0.0, 0.5], [0.7, 0.0]])
+        save_json({"Z": matrix_to_json(Z), "source": [], "target": [1, 2], "atol": 1e3}, path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "polargrass.cli", "chart-transition", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"] == "FormatError"
+
+    def test_transition_atol_at_ceiling_is_accepted(self):
+        payload = {
+            "Z": matrix_to_json(np.array([[0.0, 0.5], [-0.5, 0.0]])),
+            "source": [],
+            "target": [1, 2],
+            "atol": cli.MAX_CHART_ATOL,
+        }
+        assert cli.MAX_CHART_ATOL == 1e-6
+        report, code = cli.run_verb("chart-transition", payload, cli.Options())
+        assert code == 0
+        assert report["pass"] is True
 
     def test_transition_of_overflowing_point_is_a_named_error(self, tmp_path):
         # ||Z|| overflows: a relative antisymmetry budget must not become infinite

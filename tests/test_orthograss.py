@@ -9,6 +9,8 @@ from polargrass.errors import (
     InvariantViolation,
     NotOrthogonal,
     OutsideChart,
+    ProjectionSingular,
+    ShapeViolation,
 )
 from polargrass.linalg import Frame, hs_norm, principal_angle_distance
 from polargrass.orthograss import (
@@ -20,12 +22,21 @@ from polargrass.orthograss import (
     find_chart,
     fredholm_index,
     holomorphy_check,
-    ortho_block_check,
     transition,
     transition_derivative,
 )
 from polargrass.polarization import OrthogonalPolarization, complexify, eigensplit
 from polargrass.sampling import random_orthogonal
+from polargrass.siegel import (
+    BlockSymplectic,
+    PairedBlocks,
+    SiegelPoint,
+    block_decompose,
+    chart_solve,
+    mobius,
+    mobius_act,
+    restricted_character,
+)
 from polargrass.triples import standard_triple
 
 
@@ -247,24 +258,120 @@ class TestFredholm:
 
 
 class TestOrthoBlocks:
+    """Orthogonal maps through the shared paired-block layer (sign -1)."""
+
     def test_identity_has_no_offdiagonal(self, split3):
-        rep = ortho_block_check(np.eye(6), split3)
-        assert rep.hs_b <= 1e-12
-        assert rep.hs_c <= 1e-12
-        assert rep.dim_ker_a == 0
+        blocks = block_decompose(np.eye(6), split3, -1)
+        assert restricted_character(blocks).hs_b <= 1e-12
+        assert hs_norm(split3.compress(np.eye(6))[:3, 3:]) <= 1e-12
+        assert fredholm_index(Frame.from_columns(split3.lplus), split3).dim_ker == 0
 
     def test_offdiagonal_norms_agree(self, split3, rng):
         for _ in range(10):
-            rep = ortho_block_check(random_orthogonal(6, rng), split3)
-            assert abs(rep.hs_b - rep.hs_c) <= 1e-12
-            assert np.allclose(rep.blocks.b, np.conj(rep.blocks.c))
-            assert np.allclose(rep.blocks.d, np.conj(rep.blocks.a))
+            u = random_orthogonal(6, rng)
+            blocks = block_decompose(u, split3, -1)
+            M = split3.compress(u)
+            assert abs(hs_norm(M[:3, 3:]) - restricted_character(blocks).hs_b) <= 1e-12
+            assert np.allclose(M, blocks.matrix())
 
     def test_compressed_map_is_unitary(self, split3, rng):
-        rep = ortho_block_check(random_orthogonal(6, rng), split3)
-        M = np.block([[rep.blocks.a, rep.blocks.b], [rep.blocks.c, rep.blocks.d]])
+        M = block_decompose(random_orthogonal(6, rng), split3, -1).matrix()
         assert hs_norm(M.conj().T @ M - np.eye(6)) <= 1e-9
 
     def test_non_orthogonal_rejected(self, split3):
         with pytest.raises(NotOrthogonal):
-            ortho_block_check(np.diag([2.0, 1, 1, 1, 1, 0.5]), split3)
+            block_decompose(np.diag([2.0, 1, 1, 1, 1, 0.5]), split3, -1)
+
+    def test_block_identities_enforced(self):
+        with pytest.raises(NotOrthogonal):
+            PairedBlocks(np.eye(2), 0.5 * np.eye(2), sign=-1)
+
+    def test_swap_reflection_has_singular_a(self, split3):
+        # swapping e_1 with its partner: a = diag(0, 1, 1) is singular, which
+        # an orthogonal map may be; the image of L+ meets L- in one dimension
+        a, b = np.diag([0.0, 1, 1]), np.diag([1.0, 0, 0])
+        blocks = PairedBlocks(a, b, sign=-1)
+        real = split3.basis @ blocks.matrix() @ split3.dual
+        assert np.abs(real.imag).max() <= 1e-12
+        back = block_decompose(real.real, split3, -1)
+        assert hs_norm(back.a - a) <= 1e-12 and hs_norm(back.b - b) <= 1e-12
+        assert fredholm_index(Frame.from_columns(real.real @ split3.lplus), split3).dim_ker == 1
+
+    def test_compose_and_inverse(self, split3, rng):
+        u1 = block_decompose(random_orthogonal(6, rng), split3, -1)
+        u2 = block_decompose(random_orthogonal(6, rng), split3, -1)
+        prod = u1.compose(u2)
+        assert prod.sign == -1
+        assert hs_norm(prod.matrix() - u1.matrix() @ u2.matrix()) <= 1e-12
+        e = u1.compose(u1.inverse())
+        assert hs_norm(e.a - np.eye(3)) <= 1e-12
+        assert hs_norm(e.b) <= 1e-12
+
+    def test_restricted_character_routes_agree(self, split3, rng):
+        for _ in range(10):
+            rep = restricted_character(block_decompose(random_orthogonal(6, rng), split3, -1))
+            assert abs(rep.hs_jdef - rep.hs_jdef_direct) <= 1e-12
+
+    def test_action_matches_subspace_motion(self, split3, rng):
+        # moving the coordinate and moving the subspace agree
+        empty = ChartIndex.of(())
+        for _ in range(10):
+            u = random_orthogonal(6, rng)
+            Z = OrthoGraphOperator(random_antisymmetric(3, rng))
+            moved = mobius_act(block_decompose(u, split3, -1), Z)
+            assert isinstance(moved, OrthoGraphOperator)
+            expect = Frame.from_columns(u @ chart_graph_columns(split3, empty, Z))
+            got = Frame.from_columns(chart_graph_columns(split3, empty, moved))
+            assert principal_angle_distance(got, expect) <= 1e-12
+
+    def test_transition_is_the_action_of_its_swap_blocks(self, rng):
+        # {} -> {1, 2} at n = 4 keeps slots 3, 4 and swaps slots 1, 2
+        a, b = np.diag([0.0, 0, 1, 1]), np.diag([1.0, 1, 0, 0])
+        Z = OrthoGraphOperator(random_antisymmetric(4, rng))
+        Z2 = transition(ChartIndex.of(()), ChartIndex.of((1, 2)), Z).Z
+        assert np.array_equal(Z2, mobius(a, b, Z.Z, 1e-10, OutsideChart, "outside"))
+        assert np.array_equal(Z2, mobius_act(PairedBlocks(a, b, sign=-1), Z).Z)
+
+    def test_sign_mismatch_is_named(self):
+        with pytest.raises(ShapeViolation):
+            mobius_act(BlockSymplectic.identity(3), OrthoGraphOperator(np.zeros((3, 3))))
+        with pytest.raises(ShapeViolation):
+            mobius_act(PairedBlocks.identity(3, sign=-1), SiegelPoint(np.zeros((3, 3))))
+        with pytest.raises(ShapeViolation):
+            PairedBlocks.identity(3).compose(PairedBlocks.identity(3, sign=-1))
+        with pytest.raises(FormatError):
+            PairedBlocks(np.eye(2), np.zeros((2, 2)), sign=0)
+
+
+class TestChartSolve:
+    def test_one_svd_per_stage(self, split3, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        w = Frame.from_columns(split3.lplus)
+        assert find_chart(w, split3).kernel_dims == (0,)
+        assert len(calls) == 1
+        calls.clear()
+        res = find_chart(Frame.from_columns(np.conj(split3.lplus)), split3)
+        assert res.kernel_dims == (3, 2, 1, 0) and res.S.indices == (1, 2, 3)
+        assert len(calls) == 3 + 1
+
+    def test_graph_over_lplus_is_read_back(self, split3, rng):
+        # the solve graph_operator makes, on an antisymmetric coordinate
+        Z = random_antisymmetric(3, rng)
+        w = Frame.from_columns(split3.lplus + split3.lminus @ Z)
+        found = find_chart(w, split3)
+        assert found.S.indices == ()
+        assert hs_norm(found.Z.Z - Z) <= 1e-12
+        assert hs_norm(chart_solve(split3.dual, w.matrix)[1] - Z) <= 1e-12
+
+    def test_non_finite_projection_is_named(self, split3):
+        cols = np.array(split3.lplus)
+        cols[0, 0] = np.nan
+        with pytest.raises(ProjectionSingular):
+            chart_solve(split3.dual, cols)

@@ -7,6 +7,7 @@ from polargrass.errors import (
     InvariantViolation,
     NotSymplectic,
     NotUpperHalf,
+    NumericallySingular,
     ProjectionSingular,
 )
 from polargrass.linalg import Frame, hs_norm, op_norm, principal_angle_distance
@@ -93,6 +94,12 @@ class TestBlocks:
     def test_identity_relation_enforced(self):
         with pytest.raises(NotSymplectic):
             BlockSymplectic(np.eye(2), np.eye(2))
+
+    def test_singular_a_rejected_by_guard(self):
+        # the identities hold to deviation 1 against a relative budget of
+        # 1e-9 * ||a||^2 = 10; only the invertibility guard catches a
+        with pytest.raises(NumericallySingular):
+            BlockSymplectic(np.diag([1e5, 0.0]), np.diag([np.sqrt(1e10 - 1), 0.0]))
 
     def test_boost_satisfies_relation(self):
         u = boost(0.7)
