@@ -347,7 +347,7 @@ class FockRep:
 def build_fock(pol: OrthogonalPolarization) -> FockRep:
     """Fock representation generated by an orthogonal polarization.
 
-    The polarization frame is g-orthonormalized first, so the cross
+    The frame is the polarization's g-orthonormal ``gframe``, so the cross
     pairings ``g(w_j, alpha(w_k))`` equal the identity and the frame
     anticommutators land exactly on ``delta_{jk}``.
 
@@ -359,7 +359,7 @@ def build_fock(pol: OrthogonalPolarization) -> FockRep:
     n = pol.wplus.rank
     if n > MAX_MODES:
         raise DimensionGuard(f"{n} modes exceeds the cap {MAX_MODES}")
-    frame = pol.space.g_orthonormalize(pol.wplus.matrix)
+    frame = pol.gframe
     creation = tuple(creation_matrix(n, k) for k in range(n))
     annihilation = tuple(c.H for c in creation)
     return FockRep(FockSpace(n), pol.space, frame, creation, annihilation)

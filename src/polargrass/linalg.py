@@ -33,16 +33,13 @@ class Tolerances:
         Algebraic identity residuals (default 1e-10).
     spd_tol
         Strict-positivity margins for eigenvalue checks (default 1e-12).
-    cr_tol
-        Quadrature / finite-difference residuals (default 1e-6).
     """
 
     eq_tol: float = 1e-10
     spd_tol: float = 1e-12
-    cr_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        for field in ("eq_tol", "spd_tol", "cr_tol"):
+        for field in ("eq_tol", "spd_tol"):
             value = getattr(self, field)
             if not (value > 0.0 and np.isfinite(value)):
                 raise FormatError(f"{field} must be positive and finite, got {value!r}")

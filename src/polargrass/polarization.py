@@ -12,11 +12,18 @@ Conventions, fixed once and used everywhere:
   Eigenframes are orthonormal with respect to g (not the standard
   pairing), which is what makes compressed operators have conjugate-
   transpose adjoints and paired-block structure downstream.
+* A polarization is a half-dimensional W with ``C^2n = W + alpha(W)``,
+  isotropic for ``space.form(sign)``: Omega for ``sign = 1`` (positive
+  symplectic) and G for ``sign = -1`` (orthogonal).  Its structure
+  ``J_W = i(P+ - P-)`` and the form its setting fixes complete it back to
+  a triple (:func:`triple_from_polarization`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,7 +46,7 @@ from .linalg import (
     smallest_singular_value,
     sqrt_pair_hermitian,
 )
-from .triples import BilinearForm, CompatibleTriple, ComplexStructure
+from .triples import CompatibleTriple, ComplexStructure, complete_from_g_J, complete_from_J_omega
 
 
 @dataclass(frozen=True)
@@ -72,6 +79,11 @@ class ComplexifiedSpace:
         """Bilinear extension of the symplectic form."""
         return complex(np.asarray(v) @ self.Omega @ np.asarray(w))
 
+    def form(self, sign: int) -> np.ndarray:
+        """The form a polarization of ``sign`` is isotropic for: Omega for
+        1 (symplectic), G for -1 (orthogonal)."""
+        return self.Omega if sign > 0 else self.G
+
     def gram(self, cols: np.ndarray) -> np.ndarray:
         """Sesquilinear Gram matrix of a column family."""
         return cols.conj().T @ self.G @ cols
@@ -85,25 +97,18 @@ class ComplexifiedSpace:
 
 def complexify(t: CompatibleTriple) -> ComplexifiedSpace:
     """Extend a triple to its complexification, checking the extended
-    pairing identities on a deterministic random sample.
+    pairing identities.
 
     The sesquilinear metric and bilinear symplectic form satisfy
     ``g(v, w) = omega(v, J alpha(w))`` and ``omega(v, w) = g(Jv, alpha(w))``
-    for complex vectors; a violation means the inputs were inconsistent.
+    for complex vectors, which is to say ``G = Omega J`` and
+    ``Omega = J^T G``; a violation means the inputs were inconsistent.
     """
     space = ComplexifiedSpace(t)
-    rng = np.random.default_rng(714025)
-    J = t.Jmat.astype(np.complex128)
-    dim = space.dim
-    worst = 0.0
-    for _ in range(20):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        r1 = abs(space.g(v, w) - space.omega(v, J @ np.conj(w)))
-        r2 = abs(space.omega(v, w) - space.g(J @ v, np.conj(w)))
-        worst = max(worst, r1, r2)
-    scale = max(1.0, hs_norm(t.G), hs_norm(t.Omega)) * dim
-    if worst > 1e-9 * scale:
+    G, Om, J = t.G, t.Omega, t.Jmat
+    worst = max(hs_norm(G - Om @ J), hs_norm(Om - J.T @ G))
+    scale = max(1.0, hs_norm(G), hs_norm(Om)) * space.dim
+    if worst > 1e-10 * scale:
         raise InvariantViolation(f"extension identities fail by {worst:.3e}")
     return space
 
@@ -206,142 +211,119 @@ def eigensplit(space: ComplexifiedSpace, J=None, tol: Tolerances = DEFAULT_TOL) 
     return EigenSplit(space, J, lplus)
 
 
-def _polarization_frame(space: ComplexifiedSpace, wplus: Frame) -> None:
-    if wplus.ambient_dim != space.dim:
-        raise DimensionMismatch(
-            f"frame ambient {wplus.ambient_dim} != space dim {space.dim}"
-        )
-    if 2 * wplus.rank != space.dim:
-        raise RankMismatch(f"polarization needs rank {space.dim // 2}, got {wplus.rank}")
+@dataclass(frozen=True)
+class Polarization:
+    """A half-dimensional subspace W of C^2n, isotropic for the form of its
+    setting (``space.form(sign)``), with ``C^2n = W + alpha(W)``.
+
+    The base checks the frame shape and isotropy; each setting adds its
+    own gates in :meth:`_gates`.  ``gframe`` holds the g-orthonormal
+    columns of W, computed once.
+    """
+
+    sign: ClassVar[int]
+    space: ComplexifiedSpace
+    wplus: Frame
+    tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
+
+    def __post_init__(self) -> None:
+        dim, frame = self.space.dim, self.wplus
+        if frame.ambient_dim != dim:
+            raise DimensionMismatch(f"frame ambient {frame.ambient_dim} != space dim {dim}")
+        if 2 * frame.rank != dim:
+            raise RankMismatch(f"polarization needs rank {dim // 2}, got {frame.rank}")
+        self.check()
+
+    @cached_property
+    def gframe(self) -> np.ndarray:
+        """Columns spanning W, orthonormal for g (read-only)."""
+        return freeze(self.space.g_orthonormalize(self.wplus.matrix))
+
+    def check(self) -> dict[str, float]:
+        """Isotropy and the setting's own residuals; raises on violation."""
+        W = self.wplus.matrix
+        form = self.space.form(self.sign)
+        iso = hs_norm(W.T @ form @ W)
+        if iso > 1e-9 * max(1.0, hs_norm(form)):
+            name = "omega" if self.sign > 0 else "g"
+            raise InvariantViolation(f"W not {name}-isotropic ({iso:.3e})")
+        return {"isotropy": iso, **self._gates()}
+
+    def _gates(self) -> dict[str, float]:
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
-class OrthogonalPolarization:
-    """A g-isotropic half-dimensional subspace W with C^2n = W + alpha(W).
+class OrthogonalPolarization(Polarization):
+    """A g-isotropic polarization.
 
     Isotropy is for the *bilinear* extension of g, which is the same as
     W being g-orthogonal to alpha(W) for the sesquilinear metric.
     """
 
-    space: ComplexifiedSpace
-    wplus: Frame
-    validate: bool = field(default=True, compare=False)
+    sign: ClassVar[int] = -1
 
-    def __post_init__(self) -> None:
-        _polarization_frame(self.space, self.wplus)
-        if self.validate:
-            self.check()
-
-    def check(self) -> dict[str, float]:
-        """Isotropy and spanning residuals; raises on violation."""
-        W = self.wplus.matrix
-        iso = hs_norm(W.T @ self.space.G @ W)
-        if iso > 1e-9 * max(1.0, hs_norm(self.space.G)):
-            raise InvariantViolation(f"W not g-isotropic ({iso:.3e})")
-        Fg = self.space.g_orthonormalize(W)
+    def _gates(self) -> dict[str, float]:
+        Fg = self.gframe
         proj = Fg @ (Fg.conj().T @ self.space.G)
         span = hs_norm(proj + np.conj(proj) - np.eye(self.space.dim))
         if span > 1e-9 * self.space.dim:
             raise NotComplementary(f"W + alpha(W) does not span ({span:.3e})")
-        return {"isotropy": iso, "spanning": span}
+        return {"spanning": span}
 
 
 @dataclass(frozen=True)
-class PositiveSymplecticPolarization:
-    """An omega-Lagrangian W with C^2n = W + alpha(W) on which
-    ``-i omega(v, alpha(v))`` is positive."""
+class PositiveSymplecticPolarization(Polarization):
+    """An omega-Lagrangian polarization on which ``-i omega(v, alpha(v))``
+    is positive (margin ``tol.spd_tol``)."""
 
-    space: ComplexifiedSpace
-    wplus: Frame
-    validate: bool = field(default=True, compare=False)
-    tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
-
-    def __post_init__(self) -> None:
-        _polarization_frame(self.space, self.wplus)
-        if self.validate:
-            self.check(self.tol)
+    sign: ClassVar[int] = 1
 
     def positivity_matrix(self) -> np.ndarray:
         W = self.wplus.matrix
         return -1j * W.T @ self.space.Omega @ np.conj(W)
 
-    def check(self, tol: Tolerances = DEFAULT_TOL) -> dict[str, float]:
+    def _gates(self) -> dict[str, float]:
         W = self.wplus.matrix
-        iso = hs_norm(W.T @ self.space.Omega @ W)
-        if iso > 1e-9 * max(1.0, hs_norm(self.space.Omega)):
-            raise InvariantViolation(f"W not omega-isotropic ({iso:.3e})")
         span = smallest_singular_value(np.hstack([W, np.conj(W)]))
         if span <= 1e-8:
             raise NotComplementary(f"W + alpha(W) degenerate (sigma_min {span:.3e})")
         M = self.positivity_matrix()
         min_eig = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min())
-        if min_eig <= tol.spd_tol:
+        if min_eig <= self.tol.spd_tol:
             raise NotPositive(f"positivity matrix min eigenvalue {min_eig:.3e}")
-        return {"isotropy": iso, "spanning_sigma_min": span, "positivity_min_eig": min_eig}
+        return {"spanning_sigma_min": span, "positivity_min_eig": min_eig}
 
 
-def _oblique_structure(W: np.ndarray) -> np.ndarray:
-    """i(P+ - P-) for the decomposition span(W) + span(conj(W))."""
-    n = W.shape[1]
-    B = np.hstack([W, np.conj(W)])
-    if smallest_singular_value(B) <= 1e-10 * max(1.0, np.abs(B).max()):
-        raise NotRealizable("alpha(W) does not complement W")
-    D = np.diag(np.concatenate([1j * np.ones(n), -1j * np.ones(n)]))
-    return B @ D @ np.linalg.inv(B)
-
-
-def _require_real(Jw: np.ndarray) -> np.ndarray:
-    dev = hs_norm(Jw - np.conj(Jw))
-    if dev > 1e-9 * max(1.0, hs_norm(Jw)):
-        raise NotRealizable(f"structure does not commute with alpha ({dev:.3e})")
-    return Jw.real
-
-
-def triple_from_orthogonal(
-    pol: OrthogonalPolarization,
-    g: BilinearForm | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> CompatibleTriple:
+def triple_from_polarization(pol: Polarization) -> CompatibleTriple:
     """Reconstruct the compatible triple whose (+i)-eigenspace is ``pol``.
 
     The structure is ``J_W = i(P+ - P-)`` for the projections along
-    ``W + alpha(W)``; the symplectic form follows as ``omega = g(J., .)``.
+    ``W + alpha(W)``.  It completes with the form the setting fixes: the
+    metric of an orthogonal polarization (:func:`complete_from_g_J`) or the
+    symplectic form of a positive one (:func:`complete_from_J_omega`).
 
     Raises
     ------
     NotRealizable
         If alpha(W) fails to complement W, or J_W fails to be real.
+    NotSkewAdjoint, NotSkewSymmetric
+        If J_W and the fixed form do not complete to a triple.
     """
-    if g is None:
-        g = pol.space.triple.g
-    pol.check()
-    Jreal = _require_real(_oblique_structure(pol.wplus.matrix))
-    omega = BilinearForm("antisymmetric", Jreal.T @ g.matrix)
-    return CompatibleTriple(g, ComplexStructure(Jreal), omega, tol)
-
-
-def triple_from_positive_symplectic(
-    pol: PositiveSymplecticPolarization,
-    omega: BilinearForm | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> CompatibleTriple:
-    """Reconstruct the triple tamed by a positive Lagrangian ``pol``.
-
-    Raises
-    ------
-    NotPositive
-        If the positivity invariant fails (the polarization was
-        symplectic but not positive, e.g. after swapping W and alpha(W)).
-    NotRealizable
-        If the induced structure is not real.
-    """
-    if omega is None:
-        omega = pol.space.triple.omega
-    pol.check(tol)
-    Jreal = _require_real(_oblique_structure(pol.wplus.matrix))
-    Gcand = omega.matrix @ Jreal
-    g = BilinearForm("symmetric", 0.5 * (Gcand + Gcand.T))
-    return CompatibleTriple(g, ComplexStructure(Jreal), omega, tol)
+    W = pol.wplus.matrix
+    n = W.shape[1]
+    B = np.hstack([W, np.conj(W)])
+    if smallest_singular_value(B) <= 1e-10 * max(1.0, np.abs(B).max()):
+        raise NotRealizable("alpha(W) does not complement W")
+    Jw = (B * np.concatenate([1j * np.ones(n), -1j * np.ones(n)])) @ np.linalg.inv(B)
+    dev = hs_norm(Jw - np.conj(Jw))
+    if dev > 1e-9 * max(1.0, hs_norm(Jw)):
+        raise NotRealizable(f"structure does not commute with alpha ({dev:.3e})")
+    J = ComplexStructure(Jw.real)
+    triple = pol.space.triple
+    if pol.sign < 0:
+        return complete_from_g_J(triple.g, J, pol.tol)
+    return complete_from_J_omega(J, triple.omega, pol.tol)
 
 
 def hermitian_model(

@@ -44,7 +44,7 @@ from .linalg import (
     symmetry_deviation,
     within,
 )
-from .polarization import EigenSplit, PositiveSymplecticPolarization
+from .polarization import EigenSplit, Polarization
 
 #: Relative cut at or below which a chart projection's singular value is kernel.
 KERNEL_THRESHOLD = 1e-8
@@ -110,16 +110,15 @@ def _membership(Z: np.ndarray, positive, budget: float, tol: Tolerances) -> Sieg
     return SiegelReport(sym, min_eig, member)
 
 
-def siegel_membership(Z, tol: Tolerances = DEFAULT_TOL, sym_tol: float | None = None) -> SiegelReport:
+def siegel_membership(Z, tol: Tolerances = DEFAULT_TOL) -> SiegelReport:
     """Membership report for the disk model.
 
     ``min_eigenvalue`` is the smallest eigenvalue of ``I - Z* Z``;
     membership requires it positive (margin ``spd_tol``) together with
-    symmetry within ``sym_tol`` (defaults to ``eq_tol``).
+    symmetry within ``eq_tol``.
     """
     Z = as_matrix(Z, square=True)
-    budget = tol.eq_tol if sym_tol is None else sym_tol
-    return _membership(Z, np.eye(Z.shape[0]) - Z.conj().T @ Z, budget, tol)
+    return _membership(Z, np.eye(Z.shape[0]) - Z.conj().T @ Z, tol.eq_tol, tol)
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,7 @@ def block_decompose(u, split: EigenSplit, sign: int = 1, tol: Tolerances = DEFAU
         real u; guards against passing a non-real matrix).
     """
     u = as_matrix(u, square=True)
-    form = split.space.Omega if sign > 0 else split.space.G
+    form = split.space.form(sign)
     dev = hs_norm(u.T @ form @ u - form)
     if dev > tol.eq_tol * max(1.0, op_norm(u) ** 2) * max(1.0, hs_norm(form)):
         error, what = (NotSymplectic, "omega") if sign > 0 else (NotOrthogonal, "metric")
@@ -371,14 +370,14 @@ def graph_frame(p: SiegelPoint, split: EigenSplit) -> Frame:
 def graph_operator(w, split: EigenSplit, atol: float = 1e-10) -> SiegelPoint:
     """Invert :func:`graph_frame`: read off Z from a positive Lagrangian.
 
-    Accepts a :class:`Frame` or a :class:`PositiveSymplecticPolarization`.
+    Accepts a :class:`Frame` or a :class:`Polarization`.
 
     Raises
     ------
     ProjectionSingular
         If the subspace is not a graph over L+ (projection has kernel).
     """
-    frame = w.wplus if isinstance(w, PositiveSymplecticPolarization) else w
+    frame = w.wplus if isinstance(w, Polarization) else w
     if frame.ambient_dim != 2 * split.n or frame.rank != split.n:
         raise DimensionMismatch("frame shape does not match the split")
     kernel, Z = chart_solve(split.dual, frame.matrix)

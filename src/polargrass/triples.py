@@ -150,10 +150,10 @@ def verify_triple(
     return TripleReport(res, max(res.values()) <= tol.eq_tol)
 
 
-def _require_spd(G: np.ndarray, tol: Tolerances, error=NotPositive) -> None:
+def _require_spd(G: np.ndarray, tol: Tolerances) -> None:
     eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
     if eigs.min() <= tol.spd_tol:
-        raise error(f"minimum eigenvalue {eigs.min():.3e}")
+        raise NotPositive(f"minimum eigenvalue {eigs.min():.3e}")
 
 
 @dataclass(frozen=True)

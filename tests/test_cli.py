@@ -508,26 +508,29 @@ NO_SCIPY_SCRIPT = """
 import json, sys
 from importlib import resources
 from polargrass import cli
-config = json.loads(
-    resources.files("polargrass").joinpath("configs/acceptance_suite.json").read_text()
-)
-suite, suite_code = cli.run_suite(config)
 fock, fock_code = cli.run_verb("fock-car", {"model": "fermion", "cutoff": 9}, cli.Options())
 grunsky, grunsky_code = cli.run_verb(
     "grunsky", {"diffeo": {"kind": "fourier_flow", "coeffs": [[2, 0.15]]}, "cutoff": 16},
     cli.Options(),
 )
+random_loaded = "numpy.random" in sys.modules
+config = json.loads(
+    resources.files("polargrass").joinpath("configs/acceptance_suite.json").read_text()
+)
+suite, suite_code = cli.run_suite(config)
 print(json.dumps({
     "codes": [suite_code, fock_code, grunsky_code],
     "modes": fock["outputs"]["modes"],
     "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")),
+    "numpy_random": random_loaded,
 }))
 """
 
 
 def test_no_verb_loads_scipy():
-    # a fresh interpreter: the suite (which generates its inputs through
-    # sampling), fock-car at 10 modes and grunsky run on numpy alone
+    # a fresh interpreter: fock-car at 10 modes and grunsky run on numpy
+    # alone without loading numpy.random; then the suite (which generates
+    # its inputs through sampling, so it may load numpy.random) loads no scipy
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True, text=True, timeout=300
     )
@@ -535,3 +538,4 @@ def test_no_verb_loads_scipy():
     out = json.loads(proc.stdout)
     assert out["codes"] == [0, 0, 0] and out["modes"] == 10
     assert out["scipy"] == []
+    assert out["numpy_random"] is False

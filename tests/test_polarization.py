@@ -6,11 +6,12 @@ from polargrass.errors import (
     InvariantViolation,
     NotComplementary,
     NotPositive,
-    NotRealizable,
     RankMismatch,
 )
-from polargrass.linalg import Frame, hs_norm
+from polargrass.fock import build_fock
+from polargrass.linalg import Frame, Tolerances, hs_norm
 from polargrass.polarization import (
+    ComplexifiedSpace,
     EigenSplit,
     OrthogonalPolarization,
     PositiveSymplecticPolarization,
@@ -18,11 +19,10 @@ from polargrass.polarization import (
     eigensplit,
     hermitian_model,
     hs_projection_norm,
-    triple_from_orthogonal,
-    triple_from_positive_symplectic,
+    triple_from_polarization,
 )
 from polargrass.sampling import random_invertible, random_orthogonal
-from polargrass.triples import pullback_triple, standard_triple
+from polargrass.triples import BilinearForm, CompatibleTriple, pullback_triple, standard_triple
 
 
 @pytest.fixture
@@ -59,6 +59,21 @@ class TestComplexify:
         lhs = space.g(v, w)
         rhs = space.omega(v, t.Jmat @ np.conj(w))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @pytest.mark.parametrize("defect, rejected", [(1e-8, True), (1e-10, False)])
+    def test_pairing_identities_gate_a_loosely_verified_triple(self, defect, rejected):
+        # the triple's own gate (eq_tol = 1e-2) lets the defect through;
+        # complexify's check of G = Omega J and Omega = J^T G does not
+        t = standard_triple(2)
+        Om = np.array(t.Omega)
+        Om[0, 1] += defect
+        Om[1, 0] -= defect
+        loose = CompatibleTriple(t.g, t.J, BilinearForm("antisymmetric", Om), Tolerances(eq_tol=1e-2))
+        if rejected:
+            with pytest.raises(InvariantViolation):
+                complexify(loose)
+        else:
+            assert complexify(loose).triple is loose
 
     def test_g_orthonormalize(self, standard4, rng):
         _, space, _ = standard4
@@ -175,31 +190,20 @@ class TestPositiveSymplectic:
 
 
 class TestTripleReconstruction:
-    def test_orthogonal_roundtrip(self, rng):
-        t = pullback_triple(random_invertible(6, rng), standard_triple(3))
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("cls", [OrthogonalPolarization, PositiveSymplecticPolarization])
+    def test_roundtrip(self, cls, n):
+        # the setting's form comes back unchanged, the other two members
+        # within 1e-9
+        rng = np.random.default_rng(100 + n)
+        t = pullback_triple(random_invertible(2 * n, rng), standard_triple(n))
         space = complexify(t)
-        split = eigensplit(space)
-        pol = OrthogonalPolarization(space, Frame.from_columns(split.lplus))
-        back = triple_from_orthogonal(pol)
+        pol = cls(space, Frame.from_columns(eigensplit(space).lplus))
+        back = triple_from_polarization(pol)
+        fixed, other = ("g", "omega") if cls.sign < 0 else ("omega", "g")
+        assert getattr(back, fixed) is getattr(t, fixed)
         assert hs_norm(back.Jmat - t.Jmat) < 1e-9
-        assert hs_norm(back.Omega - t.Omega) < 1e-9
-
-    def test_positive_symplectic_roundtrip(self, rng):
-        t = pullback_triple(random_invertible(6, rng), standard_triple(3))
-        space = complexify(t)
-        split = eigensplit(space)
-        pol = PositiveSymplecticPolarization(space, Frame.from_columns(split.lplus))
-        back = triple_from_positive_symplectic(pol)
-        assert hs_norm(back.Jmat - t.Jmat) < 1e-9
-        assert hs_norm(back.G - t.G) < 1e-9
-
-    def test_degenerate_half_not_realizable(self, standard4):
-        # columns fixed by conjugation: W and alpha(W) coincide
-        _, space, _ = standard4
-        cols = np.eye(4)[:, :2].astype(complex)
-        pol = OrthogonalPolarization(space, Frame(cols), validate=False)
-        with pytest.raises((NotRealizable, InvariantViolation)):
-            triple_from_orthogonal(pol)
+        assert hs_norm(getattr(back, other).matrix - getattr(t, other).matrix) < 1e-9
 
 
 class TestHsProjection:
@@ -269,3 +273,22 @@ def test_eigensplit_diagonalizes_the_metric_once(monkeypatch):
     split = eigensplit(space)
     assert len(calls) == 1
     assert hs_norm(space.gram(split.lplus) - np.eye(2)) <= 1e-9
+
+
+def test_build_fock_orthonormalizes_the_frame_once(monkeypatch):
+    # the spanning gate and build_fock share the polarization's gframe
+    calls = []
+    real = ComplexifiedSpace.g_orthonormalize
+
+    def counted(self, cols):
+        calls.append(cols)
+        return real(self, cols)
+
+    monkeypatch.setattr(ComplexifiedSpace, "g_orthonormalize", counted)
+    rng = np.random.default_rng(5)
+    t = pullback_triple(random_invertible(6, rng), standard_triple(3))
+    space = complexify(t)
+    pol = OrthogonalPolarization(space, Frame.from_columns(eigensplit(space).lplus))
+    rep = build_fock(pol)
+    assert len(calls) == 1
+    assert np.array_equal(rep.frame, pol.gframe)
