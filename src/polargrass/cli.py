@@ -25,8 +25,8 @@ import numpy as np
 
 from . import serialize as se
 from .circle import diffeo_from_spec, fermion_polarization, grunsky, torus_period
-from .errors import DimensionGuard, DomainError, FormatError
-from .fock import MAX_MODES, build_fock, generator_residuals, vacuum_cyclicity_rank
+from .errors import DomainError, FormatError
+from .fock import basis_residuals, build_fock, check_modes, vacuum_cyclicity_rank
 from .linalg import (
     DEFAULT_TOL,
     Frame,
@@ -289,8 +289,7 @@ def _verb_fock_car(obj, opts: Options) -> dict:
         if obj["model"] != "fermion":
             raise FormatError(f'only the "fermion" model is built in, got {obj["model"]!r}')
         N = _int_option(obj, opts, "cutoff", 3, 0)
-        if N + 1 > MAX_MODES:
-            raise DimensionGuard(f"cutoff {N} gives {N + 1} modes, above the cap {MAX_MODES}")
+        check_modes(N + 1)
         pol = fermion_polarization(N)
         inputs = {"model": "fermion", "cutoff": N}
     else:
@@ -300,7 +299,7 @@ def _verb_fock_car(obj, opts: Options) -> dict:
         pol = OrthogonalPolarization(complexify(t), w)
         inputs = {"dim": t.dim}
     rep = build_fock(pol)
-    car, adjoint = generator_residuals(rep)
+    car, adjoint = basis_residuals(rep)
     vac = max(
         (float(np.linalg.norm(rep.annihilation[k] @ rep.vacuum)) for k in range(rep.n)),
         default=0.0,

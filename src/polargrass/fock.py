@@ -7,8 +7,15 @@ Fock space is ``2^n``-dimensional with basis indexed by subsets of the
 mode set.  Every creation and annihilation operator is a signed partial
 permutation of that basis: column ``m`` goes to row ``m ^ (1 << k)`` or
 nowhere.  A :class:`FockOperator` stores that flip and one coefficient
-per column, so products are index compositions and the anticommutation
-relations can be checked exhaustively instead of symbolically.
+per column, so products are index compositions.
+
+The representation is linear in the ambient vector, so the relation
+holds for every vector once it holds for the ``2n`` basis operators and
+the coordinates of the generators pair correctly.  :func:`basis_residuals`
+checks it that way: the basis relations exactly, as integer sign
+vectors, and the coordinate identity in floating point.  The pairwise
+products of represented generators (:func:`car_check`,
+:func:`generator_residuals`) stay as a reference for small mode counts.
 
 Conventions
 -----------
@@ -34,11 +41,15 @@ from .linalg import freeze
 from .polarization import (
     ComplexifiedSpace,
     OrthogonalPolarization,
+    across_norm,
     hs_projection_norm,
 )
 
 __all__ = [
+    "BASIS_BYTES",
     "MAX_MODES",
+    "basis_bytes",
+    "check_modes",
     "NO_TARGET",
     "FockSpace",
     "FockOperator",
@@ -48,17 +59,39 @@ __all__ = [
     "car_check",
     "adjoint_residual",
     "generator_residuals",
+    "basis_residuals",
     "vacuum_cyclicity_rank",
     "equivalence_certificate",
 ]
 
-#: Largest mode count accepted by :func:`build_fock`.  ``fock-car`` checks
-#: exhaustively: ``n(2n+1)`` products of ``2^n``-square operators and ``n``
-#: gathers over the ``2^n`` creation words, so its cost grows like
-#: ``n^2 2^n``.  At the cap, one call on the fermion model (every generator
-#: a single signed permutation) takes about 0.1 s on a 2-vCPU machine; on a
-#: frame whose generators mix all ``2n`` operators, about 5 s.
-MAX_MODES = 12
+#: Byte budget for the coefficients of the ``2n`` basis operators, each a
+#: complex128 vector of length ``2^n``, that :func:`build_fock` stores.
+BASIS_BYTES = 32 << 20
+
+
+def basis_bytes(n: int) -> int:
+    """Bytes of the ``2n`` basis operators' coefficients at ``n`` modes."""
+    return 2 * n * (1 << n) * np.dtype(np.complex128).itemsize
+
+
+#: Largest mode count whose basis operators fit :data:`BASIS_BYTES`: 16.
+#: ``fock-car`` holds these operators and integer copies of them, memory
+#: like ``n 2^n``, and checks their relations in integer work like
+#: ``n^2 2^n``; one fermion-model call takes about 0.5 s at the cap on a
+#: 2-vCPU machine.
+MAX_MODES = max(n for n in range(64) if basis_bytes(n) <= BASIS_BYTES)
+
+
+def check_modes(n: int) -> None:
+    """Raise :class:`DimensionGuard` if ``n`` modes exceed the byte budget."""
+    if n > MAX_MODES:
+        # the exact count of a huge request would itself be a huge integer
+        need = f"{basis_bytes(n)} bytes" if n < 64 else "over 2^64 bytes"
+        raise DimensionGuard(
+            f"{n} modes need {need} of basis coefficients, above the budget of "
+            f"{BASIS_BYTES} bytes (cap {MAX_MODES} modes)"
+        )
+
 
 #: Target index of an empty column in a :class:`FockOperator` term.
 NO_TARGET = -1
@@ -71,10 +104,9 @@ class FockSpace:
     n: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_MODES:
-            raise DimensionGuard(
-                f"mode count {self.n} outside [0, {MAX_MODES}]"
-            )
+        if self.n < 0:
+            raise DimensionGuard(f"mode count {self.n} is negative")
+        check_modes(self.n)
 
     @property
     def dim(self) -> int:
@@ -278,7 +310,7 @@ def creation_matrix(n: int, k: int) -> FockOperator:
     return FockOperator(np.array([bit]), np.where(free, 1.0 - 2.0 * parity, 0.0)[None, :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockRep:
     """Creation/annihilation operators for a g-orthonormal frame of W.
 
@@ -289,8 +321,8 @@ class FockRep:
 
     As built by :func:`build_fock`, every ``creation[k]`` is a signed
     partial permutation (entries 0 or +-1, at most one per row and
-    column); :func:`vacuum_cyclicity_rank` relies on this and raises if a
-    hand-built representation breaks it.
+    column); :func:`basis_residuals` and :func:`vacuum_cyclicity_rank`
+    rely on this and raise if a hand-built representation breaks it.
     """
 
     space: FockSpace
@@ -354,11 +386,11 @@ def build_fock(pol: OrthogonalPolarization) -> FockRep:
     Raises
     ------
     DimensionGuard
-        If the polarization has more than ``MAX_MODES`` modes.
+        If the polarization has more than ``MAX_MODES`` modes, before any
+        operator is built.
     """
     n = pol.wplus.rank
-    if n > MAX_MODES:
-        raise DimensionGuard(f"{n} modes exceeds the cap {MAX_MODES}")
+    check_modes(n)
     frame = pol.gframe
     creation = tuple(creation_matrix(n, k) for k in range(n))
     annihilation = tuple(c.H for c in creation)
@@ -394,7 +426,9 @@ def generator_residuals(rep: FockRep) -> tuple[float, float]:
     so each unordered pair is formed once; the adjoint of generator ``k``
     is compared with the stored representation of generator ``k + n``.
     Agrees with the maxima of :func:`car_check` over all ordered pairs
-    and of :func:`adjoint_residual` over all generators.
+    and of :func:`adjoint_residual` over all generators.  This is the
+    pairwise reference for :func:`basis_residuals`; its ``n(2n+1)``
+    operator products make it slow beyond about 8 modes.
     """
     n = rep.n
     gens = np.concatenate([rep.frame, np.conj(rep.frame)], axis=1).T
@@ -410,6 +444,105 @@ def generator_residuals(rep: FockRep) -> tuple[float, float]:
     car = max(_frobenius(defect(i, j)) for i in range(2 * n) for j in range(i, 2 * n))
     adjoint = max(_frobenius(reps[k] - reps[k + n].H) for k in range(n))
     return car, adjoint
+
+
+def _basis_name(i: int, n: int) -> str:
+    return f"creation[{i}]" if i < n else f"annihilation[{i - n}]"
+
+
+def _basis_signs(rep: FockRep) -> np.ndarray:
+    """The ``2n`` basis operators, ``creation`` then ``annihilation``, as
+    rows of signs; each must be one term at flip ``1 << k`` with entries
+    0 or +-1 only."""
+    n = rep.n
+    signs = np.empty((2 * n, rep.dim), dtype=np.int8)
+    for i, op in enumerate(rep.creation + rep.annihilation):
+        single = np.array_equal(op.flips, [1 << i % n])
+        if single:
+            # the cast keeps a coefficient only if it is a small integer
+            signs[i] = op.coef[0].real
+        if (
+            not single
+            or not np.array_equal(signs[i], op.coef[0])
+            or signs[i].min() < -1
+            or signs[i].max() > 1
+        ):
+            raise InvariantViolation(
+                f"{_basis_name(i, n)} is not one signed permutation term at flip {1 << i % n}"
+            )
+    return signs
+
+
+def basis_residuals(rep: FockRep) -> tuple[float, float]:
+    """Worst CAR and adjoint residuals over the frame generators, from
+    the basis operators and the generators' coordinates.
+
+    :meth:`FockRep.represent` is linear, so with coordinates ``P = F* G X``
+    and ``Q = F^T G X`` of the generators ``X = [F, conj F]`` (ordered as
+    in :func:`generator_residuals`) the anticommutator of generators
+    ``i`` and ``j`` is ``sum_ab C_ai C_bj {A_a, A_b}`` for the basis
+    operators ``A = creation + annihilation`` and ``C = [P; Q]``.  Three
+    checks reduce it to a number:
+
+    1. The basis relations, exactly: ``{A_a, A_b}`` is 1 for the partner
+       pairs ``(k, k + n)`` and 0 otherwise.  With ``S_a`` the signs of
+       ``A_a`` and ``f_a`` its flip, ``(A_a A_b)[x] = S_a[x ^ f_b] S_b[x]``,
+       so one gather per row ``a`` forms its anticommutators with every
+       ``b >= a``.  The entries are integers and the gate is ``== 0``,
+       with no threshold.
+    2. The basis adjoint ``annihilation[k] == creation[k].H``, exactly.
+    3. The coordinate identity ``P^T Q + Q^T P = X^T G X``.  Given 1, the
+       generator defect is ``D_ij 1`` for its defect ``D``, with Frobenius
+       norm ``|D_ij| 2^{n/2}`` on the ``2^n``-dimensional space: the
+       returned CAR residual.  Given 2, the adjoint defect of generator
+       ``i`` is ``sum_a d_ai A_a``, where ``d`` is ``C`` minus the
+       conjugated ``[Q; P]`` of the partner generator.  Distinct basis
+       operators never share an entry, so its norm is
+       ``sqrt(sum_a |d_ai|^2 nnz(A_a))``: the returned adjoint residual.
+
+    Agrees with :func:`generator_residuals` to rounding.  What this
+    certifies: the basis relations hold exactly, and the coordinate
+    identity reduces to the frame being g-orthonormal and bilinearly
+    isotropic, which :class:`~polargrass.polarization.Polarization`
+    already gates.  It is not a second, independent route to the
+    representation; it forms no product of represented generators.
+
+    Raises
+    ------
+    InvariantViolation
+        If a basis operator is not one signed permutation term at flip
+        ``1 << k``, or the basis relations or adjoints fail anywhere.
+    """
+    n = rep.n
+    signs = _basis_signs(rep)
+    # rows[a, x] = x ^ f_a, with f_a = f_{a + n} = 1 << a % n
+    rows = np.arange(rep.dim) ^ (1 << np.arange(2 * n) % n)[:, None]
+    for i in range(2 * n):
+        # row i of the symmetric table of anticommutators, from column i on;
+        # int8 holds the entries -2..2
+        anti = signs[i][rows[i:]] * signs[i:] + signs[i:, rows[i]] * signs[i]
+        if i < n:
+            anti[n] -= 1  # the partner annihilation[i]
+        bad = np.flatnonzero(np.any(anti, axis=1))
+        if bad.size:
+            raise InvariantViolation(
+                f"basis CAR fails for {_basis_name(i, n)} and {_basis_name(i + int(bad[0]), n)}"
+            )
+    adjoint_of_creation = np.take_along_axis(signs[:n], rows[:n], 1)
+    bad = np.flatnonzero(np.any(signs[n:] != adjoint_of_creation, axis=1))
+    if bad.size:
+        raise InvariantViolation(f"annihilation[{bad[0]}] is not creation[{bad[0]}].H")
+
+    gens = np.concatenate([rep.frame, np.conj(rep.frame)], axis=1)
+    Ggens = rep.ambient.G @ gens
+    P, Q = rep.frame.conj().T @ Ggens, rep.frame.T @ Ggens
+    defect = P.T @ Q + Q.T @ P - gens.T @ Ggens
+    car = float(np.abs(defect).max(initial=0.0) * np.sqrt(rep.dim))
+    coords = np.concatenate([P, Q])
+    swapped = np.concatenate([Q, P])[:, np.roll(np.arange(2 * n), n)]
+    weight = np.count_nonzero(signs, axis=1)
+    adjoint = np.sqrt(weight @ np.abs(coords - np.conj(swapped)) ** 2)
+    return car, float(adjoint.max(initial=0.0))
 
 
 def vacuum_cyclicity_rank(rep: FockRep) -> int:
@@ -467,4 +600,7 @@ def equivalence_certificate(pol1: OrthogonalPolarization, pol2: OrthogonalPolari
         raise DimensionMismatch(
             f"ambient dims differ: {pol1.space.dim} vs {pol2.space.dim}"
         )
+    if pol2.space is pol1.space:
+        # both cached frames are g-orthonormal for the one metric
+        return {"hs_norm": across_norm(pol1.gframe, pol2.gframe)}
     return {"hs_norm": hs_projection_norm(pol1.wplus, pol2.wplus, pol1.space)}

@@ -49,7 +49,7 @@ from .linalg import (
 from .triples import CompatibleTriple, ComplexStructure, complete_from_g_J, complete_from_J_omega
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexifiedSpace:
     """C^2n with the sesquilinear metric and bilinear symplectic form
     inherited from a compatible triple."""
@@ -211,7 +211,7 @@ def eigensplit(space: ComplexifiedSpace, J=None, tol: Tolerances = DEFAULT_TOL) 
     return EigenSplit(space, J, lplus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polarization:
     """A half-dimensional subspace W of C^2n, isotropic for the form of its
     setting (``space.form(sign)``), with ``C^2n = W + alpha(W)``.
@@ -224,7 +224,7 @@ class Polarization:
     sign: ClassVar[int]
     space: ComplexifiedSpace
     wplus: Frame
-    tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
+    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         dim, frame = self.space.dim, self.wplus
@@ -253,7 +253,7 @@ class Polarization:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalPolarization(Polarization):
     """A g-isotropic polarization.
 
@@ -272,7 +272,7 @@ class OrthogonalPolarization(Polarization):
         return {"spanning": span}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositiveSymplecticPolarization(Polarization):
     """An omega-Lagrangian polarization on which ``-i omega(v, alpha(v))``
     is positive (margin ``tol.spd_tol``)."""
@@ -362,10 +362,20 @@ def hs_projection_norm(w1: Frame, w2: Frame, space: ComplexifiedSpace) -> float:
         raise RankMismatch("frames must share ambient dimension and rank")
     if w1.ambient_dim != space.dim:
         raise DimensionMismatch("frame ambient does not match the space")
-    F1 = space.g_orthonormalize(w1.matrix)
-    F2 = space.g_orthonormalize(w2.matrix)
+    return across_norm(space.g_orthonormalize(w1.matrix), space.g_orthonormalize(w2.matrix))
+
+
+def across_norm(F1: np.ndarray, F2: np.ndarray) -> float:
+    """:func:`hs_projection_norm` of the spans of two g-orthonormal frames
+    of equal shape, such as two polarizations' ``gframe`` in one space.
+
+    Raises
+    ------
+    NotComplementary
+        If the span of F2 and its conjugate is not the whole space.
+    """
     B = np.hstack([F2, np.conj(F2)])
     if smallest_singular_value(B) <= 1e-10:
         raise NotComplementary("W2 + alpha(W2) does not span")
     coords = np.linalg.solve(B, F1)
-    return hs_norm(coords[w2.rank :])
+    return hs_norm(coords[F2.shape[1] :])

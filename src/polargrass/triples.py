@@ -156,7 +156,7 @@ def _require_spd(G: np.ndarray, tol: Tolerances) -> None:
         raise NotPositive(f"minimum eigenvalue {eigs.min():.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompatibleTriple:
     """A verified compatible triple (g, J, omega)."""
 

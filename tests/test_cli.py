@@ -13,6 +13,7 @@ from click.testing import CliRunner
 from polargrass import cli
 from polargrass.circle import CircleDiffeo
 from polargrass.cli import main
+from polargrass.fock import MAX_MODES
 from polargrass.linalg import Frame, op_norm
 from polargrass.polarization import complexify, eigensplit
 from polargrass.sampling import random_orthogonal
@@ -360,7 +361,8 @@ class TestFockVerb:
     @pytest.mark.parametrize(
         "payload, flags",
         [
-            ({"model": "fermion", "cutoff": 12}, ()),
+            # the first cutoff whose mode count is above the cap
+            ({"model": "fermion", "cutoff": MAX_MODES}, ()),
             ({"model": "fermion", "cutoff": 10**9}, ()),
             ({"model": "fermion"}, ("--cutoff", "100000")),
         ],

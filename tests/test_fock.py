@@ -7,15 +7,20 @@ import time
 import numpy as np
 import pytest
 
+from polargrass import cli, fock
 from polargrass.circle import fermion_polarization
 from polargrass.cli import CAR_TOL, Options, run_verb
 from polargrass.errors import DimensionGuard, DimensionMismatch, InvariantViolation
 from polargrass.fock import (
+    BASIS_BYTES,
     MAX_MODES,
     NO_TARGET,
     FockOperator,
+    FockRep,
     FockSpace,
     adjoint_residual,
+    basis_bytes,
+    basis_residuals,
     build_fock,
     car_check,
     creation_matrix,
@@ -24,7 +29,13 @@ from polargrass.fock import (
     vacuum_cyclicity_rank,
 )
 from polargrass.linalg import Frame
-from polargrass.polarization import OrthogonalPolarization, complexify, eigensplit
+from polargrass.polarization import (
+    ComplexifiedSpace,
+    OrthogonalPolarization,
+    complexify,
+    eigensplit,
+    hs_projection_norm,
+)
 from polargrass.sampling import random_orthogonal
 from polargrass.serialize import frame_to_json, triple_to_json
 from polargrass.triples import standard_triple
@@ -236,7 +247,7 @@ class TestRepresentation:
 
     def test_mode_cap_enforced(self):
         with pytest.raises(DimensionGuard):
-            build_fock(fermion_polarization(MAX_MODES))  # 13 modes
+            build_fock(fermion_polarization(MAX_MODES))  # MAX_MODES + 1 modes
 
 
 class TestAnticommutation:
@@ -433,8 +444,115 @@ class TestGeneratorResiduals:
         assert max(car, adjoint, ref_car, ref_adjoint) <= CAR_TOL
         report, code = run_verb("fock-car", inp, Options())
         assert code == 0, report
-        assert report["residuals"]["car_max"] == car
+        # the verb reports the structural residual; the pairwise one agrees
+        assert report["residuals"]["car_max"] == basis_residuals(rep)[0]
+        assert abs(report["residuals"]["car_max"] - car) <= 1e-13
         assert report["outputs"]["cyclicity_rank"] == rep.dim
+
+
+def with_basis_op(rep, i, op):
+    """``rep`` with basis operator ``i`` (creation, then annihilation) replaced."""
+    ops = list(rep.creation + rep.annihilation)
+    ops[i] = op
+    return dataclasses.replace(rep, creation=tuple(ops[: rep.n]), annihilation=tuple(ops[rep.n :]))
+
+
+def with_entry(op, col, value):
+    coef = op.coef.copy()
+    coef[0, col] = value
+    return FockOperator(op.flips, coef)
+
+
+def tampered_reps():
+    rep = build_fock(fermion_polarization(3))
+    c0, c1, c2 = rep.creation[:3]
+    col = int(np.flatnonzero(c2.coef[0])[1])
+    return {
+        "creator-plus-annihilator": with_basis_op(rep, 0, c0 + rep.annihilation[0]),
+        "flipped-sign": with_basis_op(rep, 2, with_entry(c2, col, -c2.coef[0, col])),
+        "inexact-coefficient": with_basis_op(rep, 1, with_entry(c1, 0, 1.0 + 1e-9)),
+        "annihilator-not-adjoint": with_basis_op(rep, rep.n + 1, -1.0 * rep.annihilation[1]),
+    }
+
+
+class TestBasisResiduals:
+    @pytest.mark.parametrize("modes", range(3, 9))
+    def test_fermion_agrees_with_generator_residuals(self, modes):
+        rep = build_fock(fermion_polarization(modes - 1))
+        car, adjoint = basis_residuals(rep)
+        ref_car, ref_adjoint = generator_residuals(rep)
+        assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
+
+    @pytest.mark.parametrize("modes", [3, 4, 5])
+    def test_rotated_frame_agrees_with_generator_residuals(self, modes):
+        rep, _ = rotated_frame_rep(modes, 400 + modes)
+        car, adjoint = basis_residuals(rep)
+        ref_car, ref_adjoint = generator_residuals(rep)
+        assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
+        assert max(car, adjoint) <= CAR_TOL
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "creator-plus-annihilator",
+            "flipped-sign",
+            "inexact-coefficient",
+            "annihilator-not-adjoint",
+        ],
+    )
+    def test_tampered_basis_never_passes(self, name, monkeypatch):
+        tampered = tampered_reps()[name]
+        with pytest.raises(InvariantViolation):
+            basis_residuals(tampered)
+        monkeypatch.setattr(cli, "build_fock", lambda pol: tampered)
+        report, code = run_verb("fock-car", {"model": "fermion", "cutoff": 3}, Options())
+        assert code == 2 and report["pass"] is False
+
+    def test_coordinate_defect_is_reported(self):
+        # a frame scaled by 2 is not g-orthonormal while every basis
+        # relation still holds exactly: a generator has coordinate 4, so a
+        # partner pair anticommutes to 16 against a pairing of 4
+        rep = build_fock(fermion_polarization(2))
+        scaled = dataclasses.replace(rep, frame=2.0 * rep.frame)
+        car, _ = basis_residuals(scaled)
+        assert car == pytest.approx(12.0 * np.sqrt(rep.dim), rel=1e-14)
+        assert car == pytest.approx(generator_residuals(scaled)[0], rel=1e-14)
+
+    def test_verb_forms_no_generator_products(self, monkeypatch):
+        # the pairwise reference must not come back on the verb's path
+        def refuse(*args, **kwargs):
+            raise AssertionError("pairwise path on fock-car")
+
+        monkeypatch.setattr(FockRep, "represent", refuse)
+        monkeypatch.setattr(fock, "generator_residuals", refuse)
+        monkeypatch.setattr(cli, "generator_residuals", refuse, raising=False)
+        _, inp = rotated_frame_rep(4, 404)
+        for payload in ({"model": "fermion", "cutoff": 6}, inp):
+            report, code = run_verb("fock-car", payload, Options())
+            assert code == 0 and report["pass"] is True, report
+
+
+class TestModeCap:
+    def test_cap_is_the_largest_count_within_the_budget(self):
+        assert basis_bytes(MAX_MODES) <= BASIS_BYTES < basis_bytes(MAX_MODES + 1)
+        assert MAX_MODES == 16
+
+    def test_guard_names_the_bytes(self):
+        with pytest.raises(DimensionGuard, match=f"{basis_bytes(MAX_MODES + 1)} bytes"):
+            FockSpace(MAX_MODES + 1)
+        with pytest.raises(DimensionGuard, match="over 2"):
+            FockSpace(10**9)
+
+    def test_frame_input_is_guarded_before_building(self, monkeypatch):
+        def refuse(n, k):
+            raise AssertionError("basis operator built above the cap")
+
+        monkeypatch.setattr(fock, "creation_matrix", refuse)
+        n = MAX_MODES + 1
+        t = standard_triple(n)
+        pol = OrthogonalPolarization(complexify(t), Frame(eigensplit(complexify(t)).lplus))
+        with pytest.raises(DimensionGuard):
+            build_fock(pol)
 
 
 def test_fock_car_at_mode_cap():
@@ -443,7 +561,8 @@ def test_fock_car_at_mode_cap():
     elapsed = time.perf_counter() - t0
     assert code == 0, report
     assert report["pass"] is True
-    assert report["outputs"] == {"modes": 12, "dim": 4096, "cyclicity_rank": 4096}
+    dim = 1 << MAX_MODES
+    assert report["outputs"] == {"modes": MAX_MODES, "dim": dim, "cyclicity_rank": dim}
     assert max(report["residuals"].values()) <= CAR_TOL
     assert elapsed < 15.0
 
@@ -499,3 +618,34 @@ class TestEquivalenceCertificate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             equivalence_certificate(fermion_polarization(2), fermion_polarization(3))
+
+    def test_reads_the_cached_frames_in_one_space(self, monkeypatch):
+        pol = fermion_polarization(5)
+        other = rotate_pairs(pol, [0.3, 0.2, 0.1])
+        ref = hs_projection_norm(pol.wplus, other.wplus, pol.space)
+        calls = []
+        real = ComplexifiedSpace.g_orthonormalize
+
+        def counted(self, cols):
+            calls.append(cols)
+            return real(self, cols)
+
+        monkeypatch.setattr(ComplexifiedSpace, "g_orthonormalize", counted)
+        cert = equivalence_certificate(pol, other)
+        assert calls == []
+        assert abs(cert["hs_norm"] - ref) <= 1e-15
+
+    def test_distinct_spaces_orthonormalize_in_the_first(self):
+        # equal metrics in two space objects: the frames are re-orthonormalized
+        # in pol1's space, with the same result
+        pol1, pol2 = fermion_polarization(3), fermion_polarization(3)
+        assert pol1.space is not pol2.space
+        rotated = rotate_pairs(pol2, [0.3, 0.3])
+        cert = equivalence_certificate(pol1, rotated)
+        assert cert["hs_norm"] == pytest.approx(2.0 * np.sin(0.3), abs=1e-10)
+
+
+def test_fock_rep_hashes_by_identity():
+    rep = build_fock(fermion_polarization(2))
+    assert hash(rep) == hash(rep) and rep == rep
+    assert rep != dataclasses.replace(rep)

@@ -292,3 +292,22 @@ def test_build_fock_orthonormalizes_the_frame_once(monkeypatch):
     rep = build_fock(pol)
     assert len(calls) == 1
     assert np.array_equal(rep.frame, pol.gframe)
+
+
+def test_array_holding_types_hash_by_identity():
+    # frozen types over ndarray fields: hash() and == by identity, never a
+    # TypeError or an ambiguous array truth value
+    t = standard_triple(2)
+    space = complexify(t)
+    split = eigensplit(space)
+    objects = [
+        t,
+        space,
+        OrthogonalPolarization(space, Frame(split.lplus)),
+        PositiveSymplecticPolarization(space, Frame(split.lplus)),
+    ]
+    for obj in objects:
+        assert hash(obj) == hash(obj)
+        assert len({obj, obj}) == 1
+    assert (complexify(t) == complexify(t)) is False
+    assert (space == space) is True
