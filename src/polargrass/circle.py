@@ -48,10 +48,16 @@ _BLOCK_RCOND = 1e-8
 _SINGULAR_BLOCK = "diagonal block of the composition operator is singular"
 
 #: Largest ``N * max(K, 2N)`` accepted by :func:`composition_operator`: the
-#: quadrature holds two N x K complex arrays at a time (powers and their
-#: FFT), 32 N K bytes, so the cap bounds it near 270 MB; ``grunsky`` at
-#: N = 512 with the default K = 16N uses half of it.
+#: cap bounds the quadrature's work, O(N K log K), and its (2N)^2 complex
+#: result, 64 N^2 bytes (32 MiB at N = 724, the largest cutoff with the
+#: default K = 16N); ``grunsky`` at N = 512 with K = 16N uses half of it.
 MAX_GRID = 2**23
+
+#: Byte budget of the quadrature's work buffer, 2 MiB = 2^17 complex
+#: entries whatever the cutoff: it holds the last power formed so far and
+#: the next ``max(1, QUADRATURE_BYTES // (16 K) - 1)`` powers ``w^k`` (two
+#: rows, over budget, only when a row of K entries exceeds 1 MiB).
+QUADRATURE_BYTES = 2 << 20
 
 
 def boson_triple(N: int) -> CompatibleTriple:
@@ -279,17 +285,20 @@ def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.
     Entry (m, n) is the m-th Fourier coefficient of ``exp(i n phi)``,
     computed with the K-point uniform (trapezoid) rule: column n is the
     FFT of the sampled power ``w^n`` (``w = exp(i phi)`` on the grid)
-    divided by K and read at ``m mod K``.  The powers ``w^1..w^N`` come from
-    one cumulative product and one FFT; since ``w`` lies on the unit
-    circle, ``w^-n = conj(w^n)`` and the negative columns are read off the
-    same spectra as ``C[m, -n] = conj(C[-m, n])``.  K defaults to 16 N; a
-    warning is emitted below 8 N where aliasing becomes a risk.
+    divided by K and read at ``m mod K``.  The powers ``w^1..w^N`` are
+    formed by a cumulative product and transformed one block of rows at a
+    time, in a buffer of :data:`QUADRATURE_BYTES`; each block continues the
+    product from the last power of the one before, so the products are
+    those of one cumulative product over all N rows.  Since ``w`` lies
+    on the unit circle, ``w^-n = conj(w^n)`` and the negative columns are
+    read off the same spectra as ``C[m, -n] = conj(C[-m, n])``.  K defaults
+    to 16 N; a warning is emitted below 8 N where aliasing becomes a risk.
 
     Raises
     ------
     DimensionGuard
-        If the work arrays would exceed ``MAX_GRID`` entries; checked before
-        the grid is built.
+        If ``N * max(K, 2N)`` exceeds ``MAX_GRID``; checked before the grid
+        is built.
     NotIncreasing
         If phi fails strict monotonicity on the quadrature grid.
     """
@@ -315,15 +324,27 @@ def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.
     if np.any(np.diff(lifted) <= 0.0):
         raise NotIncreasing("phi is not strictly increasing on the quadrature grid")
     rows = np.array(mode_indices(N)) % K
-    # column k - 1: coefficients (in mode order) of w^k, k = 1..N
-    powers = np.cumprod(np.broadcast_to(w, (N, K)), axis=0)
-    positive = np.fft.fft(powers, axis=1)[:, rows].T
+    C = np.empty((2 * N, 2 * N), dtype=np.complex128)
+    # column N + k - 1: coefficients (in mode order) of w^k, k = 1..N; row 0
+    # of the buffer carries the last power of the block before
+    step = max(1, QUADRATURE_BYTES // (16 * K) - 1)
+    block = np.empty((min(step, N) + 1, K), dtype=np.complex128)
+    for start in range(0, N, step):
+        n = min(step, N - start)
+        block[1 : n + 1] = w
+        run = block[: n + 1] if start else block[1 : n + 1]
+        np.cumprod(run, axis=0, out=run)
+        C[:, N + start : N + start + n] = np.fft.fft(block[1 : n + 1], axis=1)[:, rows].T
+        block[0] = block[n]
+    positive = C[:, N:]
+    positive /= K
     # w^-k = conj(w^k) on the circle, so C[m, -k] = conj(C[-m, k]): the
     # mode order is symmetric, and both axes reverse
-    return np.hstack([np.conj(positive[::-1, ::-1]), positive]) / K
+    np.conjugate(positive[::-1, ::-1], out=C[:, :N])
+    return C
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompositionBlocks:
     """Raw paired blocks (a, b) of a truncated composition operator.
 

@@ -33,7 +33,7 @@ from .siegel import (
 PAIRING_THRESHOLD = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthoGraphOperator(SignedMatrix):
     """Antisymmetric chart coordinate (Z^T = -Z)."""
 

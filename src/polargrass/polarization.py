@@ -113,7 +113,7 @@ def complexify(t: CompatibleTriple) -> ComplexifiedSpace:
     return space
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSplit:
     """The alpha-paired eigenbasis of J: columns of ``lplus`` span the
     (+i)-eigenspace, ``lminus = conj(lplus)`` the (-i)-eigenspace.

@@ -86,11 +86,11 @@ def _emit(obj, out: list) -> None:
         out.append(json.dumps(obj, ensure_ascii=True))
     elif _is_float_pairs(obj):
         # a matrix's data: one format call for the whole list
-        flat = list(chain.from_iterable(obj))
+        flat = tuple(chain.from_iterable(obj))
         if not all(map(math.isfinite, flat)):
             x = next(x for x in flat if not math.isfinite(x))
             raise FormatError(f"non-finite number {x!r} is not serializable")
-        out.append("[" + ",".join(["[%.17g,%.17g]"] * len(obj)) % tuple(flat) + "]")
+        out.extend(("[", ",".join(["[%.17g,%.17g]"] * len(obj)) % flat, "]"))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -190,8 +190,27 @@ def matrix_from_json(obj, extra: tuple = ()) -> np.ndarray:
         raise FormatError(
             f"data length {len(data) if isinstance(data, list) else '??'} != rows*cols = {rows * cols}"
         )
-    flat = np.array([_entry(p) for p in data], dtype=np.complex128)
-    return flat.reshape(rows, cols)
+    return _entries(data).reshape(rows, cols)
+
+
+def _entries(data: list) -> np.ndarray:
+    """The complex entries of a non-empty list of ``[re, im]`` pairs.
+
+    Lists of two plain ints or floats take one conversion; any other entry
+    (a subclass such as ``bool``, a string, a short or long pair) and an int
+    beyond the double range take the per-entry loop, which names the first
+    bad entry.
+    """
+    if (
+        set(map(type, data)) == {list}
+        and set(map(len, data)) == {2}
+        and set(map(type, chain.from_iterable(data))) <= {int, float}
+    ):
+        try:
+            return np.array(data, dtype=np.float64).view(np.complex128)[:, 0]
+        except OverflowError:
+            pass
+    return np.array([_entry(p) for p in data], dtype=np.complex128)
 
 
 def _real_part(mat: np.ndarray, what: str) -> np.ndarray:

@@ -50,7 +50,7 @@ from .polarization import EigenSplit, Polarization
 KERNEL_THRESHOLD = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedMatrix:
     """A square matrix with ``Z^T = sign Z`` within the relative budget ``atol``.
 
@@ -73,7 +73,7 @@ class SignedMatrix:
         return self.Z.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiegelPoint(SignedMatrix):
     """A symmetric strict contraction; ``atol`` is the symmetry budget.
 
@@ -121,7 +121,7 @@ def siegel_membership(Z, tol: Tolerances = DEFAULT_TOL) -> SiegelReport:
     return _membership(Z, np.eye(Z.shape[0]) - Z.conj().T @ Z, tol.eq_tol, tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpperHalfPoint(SignedMatrix):
     """Symmetric Z with positive definite imaginary part."""
 

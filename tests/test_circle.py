@@ -2,12 +2,14 @@
 fermion model, torus periods."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from polargrass.circle import (
     MAX_GRID,
+    QUADRATURE_BYTES,
     BosonModel,
     CircleDiffeo,
     CompositionBlocks,
@@ -208,6 +210,21 @@ def two_fft_composition_operator(phi, N, K):
     return np.hstack([spectra(1.0 / w)[:, ::-1], spectra(w)]) / K
 
 
+def one_shot_composition_operator(phi, N, K):
+    """The quadrature in one shot: all N powers in one cumulative product and
+    one FFT, two N x K complex arrays."""
+    theta = 2.0 * np.pi * np.arange(K) / K
+    w = phi.boundary(theta)
+    rows = np.array(mode_indices(N)) % K
+    powers = np.cumprod(np.broadcast_to(w, (N, K)), axis=0)
+    positive = np.fft.fft(powers, axis=1)[:, rows].T
+    return np.hstack([np.conj(positive[::-1, ::-1]), positive]) / K
+
+
+def powers_per_block(K):
+    return max(1, QUADRATURE_BYTES // (16 * K) - 1)
+
+
 QUADRATURE_CASES = [
     rotation_diffeo(0.7),
     mobius_diffeo(0.1 + 0.05j),
@@ -286,6 +303,45 @@ class TestCompositionOperator:
         for build in (composition_operator, composition_blocks, grunsky):
             with pytest.raises(DimensionGuard):
                 build(refuse_boundary(), N, K)
+
+    # (N, K, how the N powers split into blocks of powers_per_block(K))
+    BLOCKINGS = [
+        (64, 1024, "single"),
+        (62, 4096, "multiple"),
+        (256, 4096, "ragged"),
+        (2, 2**18, "one-row"),
+        (5, 2**19, "one-row"),
+    ]
+
+    @pytest.mark.parametrize("N, K, blocking", BLOCKINGS, ids=[b[2] for b in BLOCKINGS])
+    @pytest.mark.parametrize(
+        "phi",
+        QUADRATURE_CASES + [compose_diffeos(mobius_diffeo(0.3j), fourier_flow_diffeo([(2, 0.15)]))],
+        ids=QUADRATURE_IDS + ["compose"],
+    )
+    def test_blocked_powers_match_one_shot(self, phi, N, K, blocking):
+        step = powers_per_block(K)
+        assert {
+            "single": N <= step,
+            "multiple": N > step and N % step == 0,
+            "ragged": N > step and N % step != 0,
+            "one-row": step == 1 and 16 * K >= QUADRATURE_BYTES,
+        }[blocking]
+        C = composition_operator(phi, N, K)
+        assert np.abs(C - one_shot_composition_operator(phi, N, K)).max() <= 1e-15
+
+    def test_working_set_is_the_block(self):
+        # the one-shot route peaks at 35.8 MB here: two 256 x 4096 complex
+        # arrays; blocked, the 4 MiB result and the 2 MiB buffer remain
+        phi = fourier_flow_diffeo([(3, 0.1), (1, 0.2)])
+        composition_operator(phi, 256)
+        tracemalloc.start()
+        try:
+            composition_operator(phi, 256, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_grid_cap_admits_its_edge(self):
         # N * K == MAX_GRID passes the guard and reaches the sampling

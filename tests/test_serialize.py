@@ -11,7 +11,9 @@ from hypothesis import given, strategies as st
 from polargrass.errors import DimensionMismatch, FormatError
 from polargrass.linalg import Frame
 from polargrass.orthograss import ChartIndex
+from polargrass import serialize
 from polargrass.serialize import (
+    _entry,
     chart_index_from_json,
     chart_index_to_json,
     disk_point_from_json,
@@ -159,6 +161,18 @@ class TestFloatPairBatch:
     def test_other_lists_emit_as_before(self, obj, text):
         assert dumps_canonical(obj) == text + "\n"
 
+    def test_emitted_bytes_pinned(self):
+        # the batch's text, pieces and all, as the per-number writer made it
+        M = np.empty(6, dtype=complex)
+        M.real = [0.1, -0.0, 1e-300, 3.0, 5e-324, -2.5e10]
+        M.imag = [2.0, 1 / 3, -0.0, -0.5, 1e308, 7.0]
+        text = dumps_canonical({"m": matrix_to_json(M.reshape(2, 3)), "n": [[0.5, 1.5]]})
+        assert text == (
+            '{"m":{"cols":3,"data":[[0.10000000000000001,2],[-0,0.33333333333333331],'
+            '[1e-300,-0],[3,-0.5],[4.9406564584124654e-324,1e+308],[-25000000000,7]],'
+            '"rows":2},"n":[[0.5,1.5]]}\n'
+        )
+
     def test_matrix_data_is_the_per_entry_list(self):
         # the vectorized reader of the array keeps every sign and subnormal
         M = edge_matrix(4, 3)
@@ -202,6 +216,70 @@ class TestMatrixFormat:
             matrix_from_json({"rows": True, "cols": True, "data": [[0.1, 0.0]]})
         with pytest.raises(FormatError):
             matrix_from_json({"rows": 1, "cols": 1, "data": [[10**400, 0.0]]})
+
+
+def per_entry(data) -> np.ndarray:
+    """The reader's reference: every entry through ``_entry`` on its own."""
+    return np.array([_entry(p) for p in data], dtype=np.complex128)
+
+
+def reader_outcome(read, data):
+    """The entries' bits, or the FormatError message, of one reader."""
+    try:
+        return read(data).ravel().view(np.int64).tolist()
+    except FormatError as exc:
+        return str(exc)
+
+
+def one_column(data):
+    return matrix_from_json({"rows": len(data), "cols": 1, "data": data})
+
+
+NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**1030),
+    st.integers(min_value=-(2**1030), max_value=-(2**63) + 2),
+    st.sampled_from([-0.0, 0.0, float("nan"), 2**1024 - 2**970 - 1, 2**1024 - 2**970]),
+)
+
+
+class TestMatrixReader:
+    """Plain ``[re, im]`` lists of ints and floats are read in one conversion;
+    the per-entry loop is the reference for values and for error messages."""
+
+    @given(st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=1, max_size=12))
+    def test_one_pass_agrees_with_per_entry(self, data):
+        assert reader_outcome(one_column, data) == reader_outcome(per_entry, data)
+
+    def test_plain_pairs_skip_the_loop(self, monkeypatch):
+        data = [[1, 2**64 + 1], [-0.0, float("nan")], [0.5, -(2**70)]]
+        expected = reader_outcome(per_entry, data)
+
+        def refused(pair):
+            raise AssertionError("per-entry loop ran on plain pairs")
+
+        monkeypatch.setattr(serialize, "_entry", refused)
+        assert reader_outcome(one_column, data) == expected
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[True, 0.0], [0.0, False], [0.5, "x"], [0.5], [0.5, 1.0, 2.0], (0.5, 1.0),
+         [10**400, 0.0], [0.0, -(10**400)], "x", None],
+        ids=["bool-re", "bool-im", "str", "short", "long", "tuple", "huge-re",
+             "huge-im", "string", "null"],
+    )
+    def test_rejections_match_per_entry(self, bad):
+        data = [[0.5, 1.5], bad, [2.5, 3.5]]
+        with pytest.raises(FormatError) as expected:
+            per_entry(data)
+        with pytest.raises(FormatError) as got:
+            one_column(data)
+        assert str(got.value) == str(expected.value)
+
+    def test_subclass_entries_take_the_loop(self):
+        data = [[np.float64(0.25), 1], [0.5, np.float64(-0.0)]]
+        assert reader_outcome(one_column, data) == reader_outcome(per_entry, data)
 
 
 class TestTaggedObjects:

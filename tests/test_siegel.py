@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from polargrass.circle import composition_blocks, mobius_diffeo
 from polargrass.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -11,10 +12,12 @@ from polargrass.errors import (
     ProjectionSingular,
 )
 from polargrass.linalg import Frame, hs_norm, op_norm, principal_angle_distance
+from polargrass.orthograss import OrthoGraphOperator
 from polargrass.polarization import complexify, eigensplit
 from polargrass.sampling import random_contraction, random_symplectic, random_unitary
 from polargrass.siegel import (
     BlockSymplectic,
+    SignedMatrix,
     SiegelPoint,
     UpperHalfPoint,
     block_decompose,
@@ -255,3 +258,26 @@ def test_action_stays_in_disk_over_seeds(seed):
     q = mobius_act(u, p)
     assert op_norm(q.Z) < 1.0
     assert hs_norm(q.Z - q.Z.T) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: eigensplit(complexify(standard_triple(2))),
+        lambda: SignedMatrix(np.eye(2)),
+        lambda: SiegelPoint(np.zeros((2, 2))),
+        lambda: UpperHalfPoint(1j * np.eye(2)),
+        lambda: OrthoGraphOperator(np.array([[0.0, 0.5], [-0.5, 0.0]])),
+        lambda: composition_blocks(mobius_diffeo(0.1), 4),
+    ],
+    ids=["EigenSplit", "SignedMatrix", "SiegelPoint", "UpperHalfPoint",
+         "OrthoGraphOperator", "CompositionBlocks"],
+)
+def test_array_holding_types_hash_by_identity(make):
+    # frozen types over ndarray fields: hash() and == by identity, never a
+    # TypeError or an ambiguous array truth value
+    obj, twin = make(), make()
+    assert hash(obj) == hash(obj)
+    assert len({obj, obj, twin}) == 2
+    assert (obj == obj) is True
+    assert (obj == twin) is False
