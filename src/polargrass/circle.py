@@ -32,7 +32,7 @@ from .errors import (
     NotIncreasing,
     NotUpperHalf,
 )
-from .linalg import Frame, check_invertible, hs_norm
+from .linalg import Frame, check_clears, check_invertible, hs_norm
 from .polarization import (
     ComplexifiedSpace,
     EigenSplit,
@@ -164,15 +164,20 @@ class CircleDiffeo:
     phi: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     boundary: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
 
-    def check_increasing(self, K: int = 1024) -> None:
-        """Validate strict monotonicity on a uniform grid.
+    def check_increasing(self) -> None:
+        """Validate strict monotonicity on a uniform grid of 1024 points.
 
         Raises NotIncreasing when the lifted angle fails to increase.
         """
-        theta = np.linspace(0.0, 2.0 * np.pi, K, endpoint=False)
-        values = np.unwrap(np.angle(self.boundary(theta)))
-        if np.any(np.diff(values) <= 0.0):
-            raise NotIncreasing(f"{self.kind} map is not strictly increasing on the grid")
+        theta = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+        _check_steps(self.boundary(theta), f"{self.kind} map is not strictly increasing")
+
+
+def _check_steps(w: np.ndarray, what: str) -> None:
+    """Raise NotIncreasing unless the lifted angle of ``w`` rises at every step."""
+    steps = np.diff(np.unwrap(np.angle(w)))
+    if steps.size:
+        check_clears(float(steps.min()), 0.0, 0.0, NotIncreasing, f"{what}: smallest step")
 
 
 def rotation_diffeo(delta: float) -> CircleDiffeo:
@@ -320,9 +325,7 @@ def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.
         )
     theta = 2.0 * np.pi * np.arange(K) / K
     w = phi.boundary(theta)
-    lifted = np.unwrap(np.angle(w))
-    if np.any(np.diff(lifted) <= 0.0):
-        raise NotIncreasing("phi is not strictly increasing on the quadrature grid")
+    _check_steps(w, "phi is not strictly increasing on the quadrature grid")
     rows = np.array(mode_indices(N)) % K
     C = np.empty((2 * N, 2 * N), dtype=np.complex128)
     # column N + k - 1: coefficients (in mode order) of w^k, k = 1..N; row 0
@@ -397,11 +400,11 @@ def composition_blocks(phi: CircleDiffeo, N: int, K: int | None = None) -> Compo
     return CompositionBlocks(a, b)
 
 
-def grunsky(phi: CircleDiffeo, N: int, K: int | None = None, atol: float = 1e-6) -> SiegelPoint:
+def grunsky(phi: CircleDiffeo, N: int, K: int | None = None) -> SiegelPoint:
     """Grunsky-type Siegel point of a circle diffeomorphism at cutoff N.
 
     ``Z = b a^{-1}`` for the paired blocks of the composition operator;
-    symmetric up to quadrature/truncation error and a strict contraction,
+    symmetric up to quadrature/truncation error (relative 1e-6) and a strict contraction,
     vanishing (to quadrature accuracy) for Mobius maps, which preserve
     the polarization.
 
@@ -413,7 +416,7 @@ def grunsky(phi: CircleDiffeo, N: int, K: int | None = None, atol: float = 1e-6)
     blocks = composition_blocks(phi, N, K)
     # composition_blocks has already guarded a against singularity
     Z = np.linalg.solve(blocks.a.T, blocks.b.T).T
-    return SiegelPoint(Z, atol=atol)
+    return SiegelPoint(Z, atol=1e-6)
 
 
 def fermion_triple(N: int) -> CompatibleTriple:

@@ -27,15 +27,7 @@ from . import serialize as se
 from .circle import diffeo_from_spec, fermion_polarization, grunsky, torus_period
 from .errors import DomainError, FormatError
 from .fock import basis_residuals, build_fock, check_modes, vacuum_cyclicity_rank
-from .linalg import (
-    DEFAULT_TOL,
-    Frame,
-    Tolerances,
-    hs_norm,
-    min_eig_hermitian,
-    principal_angle_distance,
-    symmetry_deviation,
-)
+from .linalg import DEFAULT_TOL, Frame, Tolerances, hs_norm, principal_angle_distance, within
 from .orthograss import OrthoGraphOperator, chart_graph_columns, find_chart, transition
 from .polarization import OrthogonalPolarization, complexify, eigensplit
 from .sampling import generate_input
@@ -115,20 +107,19 @@ def _triple_members(obj, present):
 
 
 def _verb_triple_verify(obj, opts: Options) -> dict:
+    """Check the three compatibility identities of (g, J, omega)."""
     m = _triple_members(obj, ("g", "J", "omega"))
     report = verify_triple(m["g"], m["J"], m["omega"], opts.tol)
-    min_eig = min_eig_hermitian(m["g"].matrix.astype(np.complex128))
-    residuals = dict(report.residuals)
-    residuals["g_min_eigenvalue"] = min_eig
     return {
         "verb": "triple-verify",
         "inputs": {"dim": m["g"].dim},
-        "residuals": residuals,
-        "pass": bool(report.compatible and min_eig > opts.tol.spd_tol),
+        "residuals": {**report.residuals, "g_min_eigenvalue": report.g_min_eigenvalue},
+        "pass": report.compatible and report.positive,
     }
 
 
 def _verb_triple_complete(obj, opts: Options) -> dict:
+    """Complete two of g/J/omega to a full compatible triple."""
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object")
     present = tuple(k for k in ("g", "J", "omega") if k in obj)
@@ -143,29 +134,27 @@ def _verb_triple_complete(obj, opts: Options) -> dict:
         t = complete_from_g_omega(m["g"], m["omega"], opts.tol)
     else:
         t = complete_from_J_omega(m["J"], m["omega"], opts.tol)
-    residuals = dict(verify_triple(t.g, t.J, t.omega, opts.tol).residuals)
-    residuals["g_min_eigenvalue"] = min_eig_hermitian(t.G.astype(np.complex128))
     return {
         "verb": "triple-complete",
         "inputs": {"dim": t.dim, "given": list(present)},
-        "residuals": residuals,
+        "residuals": {**t.report.residuals, "g_min_eigenvalue": t.report.g_min_eigenvalue},
         "pass": True,
         "outputs": se.triple_to_json(t),
     }
 
 
 def _verb_polarize(obj, opts: Options) -> dict:
+    """Split the complexification of a triple along the J eigenspaces."""
     t = se.triple_from_json(obj)
     space = complexify(t)
     split = eigensplit(space, tol=opts.tol)
     L = split.lplus
-    eye = np.eye(split.n)
     return {
         "verb": "polarize",
         "inputs": {"dim": t.dim},
         "residuals": {
-            "eigenvector": hs_norm(t.Jmat @ L - 1j * L),
-            "gram": hs_norm(space.gram(L) - eye),
+            "eigenvector": split.eigenvector_residual,
+            "gram": split.gram_residual,
             "omega_isotropy": hs_norm(L.T @ space.Omega @ L),
         },
         "pass": True,
@@ -174,6 +163,7 @@ def _verb_polarize(obj, opts: Options) -> dict:
 
 
 def _verb_siegel_member(obj, opts: Options) -> dict:
+    """Membership report for a disk or half-space point."""
     mat = se.matrix_from_json(obj, extra=("model",))
     model = obj.get("model")
     if model == "disk":
@@ -193,7 +183,8 @@ def _verb_siegel_member(obj, opts: Options) -> dict:
     }
 
 
-def _verb_siegel_act(obj) -> dict:
+def _verb_siegel_act(obj, opts: Options) -> dict:
+    """Move a disk point by a block symplectic element."""
     se._check_keys(obj, ("a", "b", "Z"))
     a = se.matrix_from_json(obj["a"])
     b = se.matrix_from_json(obj["b"])
@@ -206,7 +197,7 @@ def _verb_siegel_act(obj) -> dict:
         "verb": "siegel-act",
         "inputs": {"n": u.n},
         "residuals": {
-            "result_symmetry": symmetry_deviation(q.Z),
+            "result_symmetry": q.symmetry_residual,
             "result_opnorm": q.opnorm,
         },
         "pass": True,
@@ -215,6 +206,7 @@ def _verb_siegel_act(obj) -> dict:
 
 
 def _verb_grunsky(obj, opts: Options) -> dict:
+    """Siegel point of a circle diffeomorphism at a Fourier cutoff."""
     se._check_keys(obj, ("diffeo",), ("cutoff", "quadrature"))
     N = _int_option(obj, opts, "cutoff", 32, 1)
     K = _int_option(obj, opts, "quadrature", 16 * N, 1)
@@ -225,14 +217,15 @@ def _verb_grunsky(obj, opts: Options) -> dict:
         "inputs": {"kind": obj["diffeo"].get("kind"), "cutoff": N, "quadrature": K},
         "residuals": {
             "z_opnorm": p.opnorm,
-            "symmetry_residual": symmetry_deviation(p.Z),
+            "symmetry_residual": p.symmetry_residual,
         },
         "pass": True,
         "outputs": {"Z": se.disk_point_to_json(p)},
     }
 
 
-def _verb_chart_find(obj) -> dict:
+def _verb_chart_find(obj, opts: Options) -> dict:
+    """Locate a chart of the orthogonal Grassmannian containing a frame."""
     se._check_keys(obj, ("frame",))
     w = se.frame_from_json(obj["frame"])
     if w.ambient_dim != 2 * w.rank:
@@ -250,9 +243,9 @@ def _verb_chart_find(obj) -> dict:
         "inputs": {"n": w.rank},
         "residuals": {
             "reconstruction": recon,
-            "z_antisymmetry": symmetry_deviation(found.Z.Z, -1.0),
+            "z_antisymmetry": found.Z.symmetry_residual,
         },
-        "pass": bool(recon <= CHART_RECONSTRUCTION_TOL),
+        "pass": within(recon, CHART_RECONSTRUCTION_TOL, 0.0),
         "outputs": {
             "chart": se.chart_index_to_json(found.S),
             "Z": se.matrix_to_json(found.Z.Z),
@@ -261,7 +254,8 @@ def _verb_chart_find(obj) -> dict:
     }
 
 
-def _verb_chart_transition(obj) -> dict:
+def _verb_chart_transition(obj, opts: Options) -> dict:
+    """Change chart coordinates of a graph operator."""
     se._check_keys(obj, ("Z", "source", "target"), ("atol",))
     atol = obj.get("atol", 1e-10)
     if not isinstance(atol, (int, float)) or isinstance(atol, bool) or not 0 < atol <= MAX_CHART_ATOL:
@@ -277,13 +271,14 @@ def _verb_chart_transition(obj) -> dict:
             "source": se.chart_index_to_json(S1),
             "target": se.chart_index_to_json(S2),
         },
-        "residuals": {"z_antisymmetry": symmetry_deviation(Z2.Z, -1.0)},
+        "residuals": {"z_antisymmetry": Z2.symmetry_residual},
         "pass": True,
         "outputs": {"Z": se.matrix_to_json(Z2.Z)},
     }
 
 
 def _verb_fock_car(obj, opts: Options) -> dict:
+    """Build a Fock representation and verify the anticommutation relations."""
     if isinstance(obj, dict) and "model" in obj:
         se._check_keys(obj, ("model",), ("cutoff",))
         if obj["model"] != "fermion":
@@ -305,7 +300,7 @@ def _verb_fock_car(obj, opts: Options) -> dict:
         default=0.0,
     )
     rank = vacuum_cyclicity_rank(rep)
-    ok = car <= CAR_TOL and adjoint <= CAR_TOL and vac <= CAR_TOL and rank == rep.dim
+    ok = all(within(r, CAR_TOL, 0.0) for r in (car, adjoint, vac)) and rank == rep.dim
     return {
         "verb": "fock-car",
         "inputs": inputs,
@@ -314,12 +309,13 @@ def _verb_fock_car(obj, opts: Options) -> dict:
             "adjoint_max": adjoint,
             "vacuum_annihilation": vac,
         },
-        "pass": bool(ok),
+        "pass": ok,
         "outputs": {"modes": rep.n, "dim": rep.dim, "cyclicity_rank": rank},
     }
 
 
-def _verb_torus_period(obj) -> dict:
+def _verb_torus_period(obj, opts: Options) -> dict:
+    """Period point of the lattice (1, tau) with residuals."""
     se._check_keys(obj, ("tau",))
     tau = se._entry(obj["tau"])
     rep = torus_period(tau)
@@ -328,7 +324,7 @@ def _verb_torus_period(obj) -> dict:
         "verb": "torus-period",
         "inputs": {"tau": [tau.real, tau.imag]},
         "residuals": residuals,
-        "pass": bool(max(residuals.values()) <= TORUS_PERIOD_TOL),
+        "pass": all(within(r, TORUS_PERIOD_TOL, 0.0) for r in residuals.values()),
         "outputs": {
             "period_a": [rep.period_a.real, rep.period_a.imag],
             "period_b": [rep.period_b.real, rep.period_b.imag],
@@ -349,25 +345,6 @@ _HANDLERS = {
     "torus-period": _verb_torus_period,
 }
 
-#: Verbs whose handler reads ``Options``: the tolerances reach the first four,
-#: the cutoff and quadrature the last two; the others take only the input.
-_OPTION_VERBS = frozenset(
-    {"triple-verify", "triple-complete", "polarize", "siegel-member", "grunsky", "fock-car"}
-)
-
-_HELP = {
-    "triple-verify": "Check the three compatibility identities of (g, J, omega).",
-    "triple-complete": "Complete two of g/J/omega to a full compatible triple.",
-    "polarize": "Split the complexification of a triple along the J eigenspaces.",
-    "siegel-member": "Membership report for a disk or half-space point.",
-    "siegel-act": "Move a disk point by a block symplectic element.",
-    "grunsky": "Siegel point of a circle diffeomorphism at a Fourier cutoff.",
-    "chart-find": "Locate a chart of the orthogonal Grassmannian containing a frame.",
-    "chart-transition": "Change chart coordinates of a graph operator.",
-    "fock-car": "Build a Fock representation and verify the anticommutation relations.",
-    "torus-period": "Period point of the lattice (1, tau) with residuals.",
-}
-
 
 def run_verb(verb: str, obj, opts: Options) -> tuple[dict, int]:
     """Run one verb on a parsed input object.
@@ -377,9 +354,8 @@ def run_verb(verb: str, obj, opts: Options) -> tuple[dict, int]:
     """
     if verb not in _HANDLERS:
         raise FormatError(f"unknown verb {verb!r}")
-    handler = _HANDLERS[verb]
     try:
-        report = handler(obj, opts) if verb in _OPTION_VERBS else handler(obj)
+        report = _HANDLERS[verb](obj, opts)
     except DomainError as exc:
         return _error_report(verb, exc), 2
     except Exception as exc:  # FormatError, or a malformed structure that slipped past checks
@@ -517,9 +493,6 @@ def main() -> None:
 
 
 def _verb_command(verb: str) -> click.Command:
-    takes_cutoff = verb in ("grunsky", "fock-car")
-    takes_quadrature = verb == "grunsky"
-
     @click.pass_context
     def _run(ctx, input_path, output_path, tol_eq, tol_spd, cutoff=None, quadrature=None):
         try:
@@ -551,13 +524,13 @@ def _verb_command(verb: str) -> click.Command:
         click.Option(["--tol-eq", "tol_eq"], type=float, default=None),
         click.Option(["--tol-spd", "tol_spd"], type=float, default=None),
     ]
-    if takes_cutoff:
+    if verb in ("grunsky", "fock-car"):
         params.append(click.Option(["--cutoff", "cutoff"], type=int, default=None))
-    if takes_quadrature:
+    if verb == "grunsky":
         params.append(
             click.Option(["--quadrature", "quadrature"], type=int, default=None)
         )
-    return click.Command(verb, params=params, callback=_run, help=_HELP[verb])
+    return click.Command(verb, params=params, callback=_run, help=_HANDLERS[verb].__doc__)
 
 
 for _verb in _HANDLERS:

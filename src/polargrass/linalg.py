@@ -4,6 +4,13 @@ All matrices are dense complex128 numpy arrays.  Subspaces are carried by
 :class:`Frame` objects whose columns are orthonormal for the *standard*
 Hermitian pairing; metric-orthonormal bases (needed by the eigensplit
 machinery) are handled in :mod:`polargrass.polarization`.
+
+Every invariant is gated by one rule, normwise relative to its operands
+(Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3): a residual
+passes when it is at most ``rel * max(1, scale)`` (:func:`within`), a margin
+when it is finite and above that (:func:`clears`); both fail for a NaN and
+for a non-finite ``scale``.  Their raising forms :func:`check_within` and
+:func:`check_clears` return the number they checked, for objects to keep.
 """
 
 from __future__ import annotations
@@ -67,11 +74,11 @@ def as_matrix(a, square: bool = False) -> np.ndarray:
     return arr
 
 
-def as_real_matrix(a, square: bool = False, tol: float = 1e-12) -> np.ndarray:
-    """Like :func:`as_matrix` but require a negligible imaginary part."""
+def as_real_matrix(a, square: bool = False) -> np.ndarray:
+    """Like :func:`as_matrix` but require an imaginary part of at most 1e-12."""
     arr = as_matrix(a, square=square)
-    if np.abs(arr.imag).max(initial=0.0) > tol:
-        raise FormatError("matrix has a non-negligible imaginary part")
+    imag = float(np.abs(arr.imag).max(initial=0.0))
+    check_within(imag, 1e-12, 0.0, FormatError, "matrix has a non-negligible imaginary part")
     return arr.real.astype(np.float64)
 
 
@@ -96,9 +103,27 @@ def freeze(arr) -> np.ndarray:
 
 
 def within(dev: float, rel: float, scale: float) -> bool:
-    """Whether ``dev <= rel * max(1, scale)``; false for a NaN ``dev`` and for a
-    non-finite ``scale``, whose infinite bound would accept anything."""
-    return math.isfinite(scale) and dev <= rel * max(1.0, scale)
+    """Whether the residual ``dev`` is at most ``rel * max(1, scale)``, ``scale`` finite."""
+    return bool(math.isfinite(scale) and dev <= rel * max(1.0, scale))
+
+
+def clears(margin: float, rel: float, scale: float) -> bool:
+    """Whether ``margin`` is finite and above ``rel * max(1, scale)``, ``scale`` finite."""
+    return bool(math.isfinite(scale) and math.isfinite(margin) and margin > rel * max(1.0, scale))
+
+
+def check_within(dev: float, rel: float, scale: float, error: type, what: str) -> float:
+    """``dev`` if it is :func:`within` ``rel`` relative to ``scale``; else raise ``error``."""
+    if not within(dev, rel, scale):
+        raise error(f"{what} ({dev:.3e})")
+    return dev
+
+
+def check_clears(margin: float, rel: float, scale: float, error: type, what: str) -> float:
+    """``margin`` if it :func:`clears` ``rel`` relative to ``scale``; else raise ``error``."""
+    if not clears(margin, rel, scale):
+        raise error(f"{what} ({margin:.3e})")
+    return margin
 
 
 def symmetry_deviation(Z, sign: float = 1.0) -> float:
@@ -106,24 +131,20 @@ def symmetry_deviation(Z, sign: float = 1.0) -> float:
     return hs_norm(Z - sign * Z.T)
 
 
-def check_symmetry(Z, sign: float, rel: float, error: type, what: str) -> None:
-    """Raise ``error`` unless ``symmetry_deviation(Z, sign)`` is
-    :func:`within` ``rel`` relative to ``||Z||``."""
-    dev = symmetry_deviation(Z, sign)
-    if not within(dev, rel, hs_norm(Z)):
-        raise error(f"{what} (deviation {dev:.3e})")
+def check_symmetry(Z, sign: float, rel: float, error: type, what: str) -> float:
+    """``symmetry_deviation(Z, sign)``, gated :func:`within` ``rel`` relative to ``||Z||``."""
+    return check_within(symmetry_deviation(Z, sign), rel, hs_norm(Z), error, what)
 
 
-def check_invertible(a, rel: float, error: type, what: str) -> None:
-    """Raise ``error`` unless ``sigma_min(a) > rel * max(1, sigma_max(a))``, both
+def check_invertible(a, rel: float, error: type, what: str) -> float:
+    """``sigma_min(a)``, gated to clear ``rel`` relative to ``sigma_max(a)``, both
     from one SVD; a non-finite value or an SVD that fails counts as singular."""
     try:
         svals = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise error(f"{what} ({exc})") from exc
     smin, smax = (float(svals.min()), float(svals.max())) if svals.size else (0.0, 0.0)
-    if not (math.isfinite(smax) and smin > rel * max(1.0, smax)):
-        raise error(f"{what} (sigma_min {smin:.3e})")
+    return check_clears(smin, rel, smax, error, f"{what}: sigma_min")
 
 
 def right_divide(num, den, rel: float, error: type, what: str) -> np.ndarray:
@@ -136,8 +157,7 @@ def _hermitian_eigh(a, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """``eigh`` of ``a``; raises NonHermitian beyond ``eq_tol`` (relative)."""
     arr = as_matrix(a, square=True)
     dev = hs_norm(arr - arr.conj().T)
-    if not within(dev, tol.eq_tol, hs_norm(arr)):
-        raise NonHermitian(f"Hermitian deviation {dev:.3e}")
+    check_within(dev, tol.eq_tol, hs_norm(arr), NonHermitian, "Hermitian deviation")
     return np.linalg.eigh(0.5 * (arr + arr.conj().T))
 
 
@@ -150,7 +170,7 @@ def is_positive_definite(a, tol: Tolerances = DEFAULT_TOL) -> bool:
         If ``a`` deviates from Hermitian symmetry beyond ``eq_tol``.
     """
     eigvals, _ = _hermitian_eigh(a, tol)
-    return bool(eigvals.min() > tol.spd_tol)
+    return clears(float(eigvals.min()), tol.spd_tol, 0.0)
 
 
 def min_eig_hermitian(a) -> float:
@@ -161,8 +181,7 @@ def min_eig_hermitian(a) -> float:
 def _spd_powers(a, powers: tuple[float, ...], tol: Tolerances) -> tuple[np.ndarray, ...]:
     """``a**p`` for each ``p`` in ``powers`` from one validated ``eigh``."""
     eigvals, eigvecs = _hermitian_eigh(a, tol)
-    if not eigvals.min() > tol.spd_tol:
-        raise NotPositiveDefinite(f"minimum eigenvalue {eigvals.min():.3e}")
+    check_clears(float(eigvals.min()), tol.spd_tol, 0.0, NotPositiveDefinite, "minimum eigenvalue")
     return tuple((eigvecs * (eigvals**p)) @ eigvecs.conj().T for p in powers)
 
 
@@ -210,10 +229,8 @@ class Frame:
             raise RankMismatch(
                 f"rank {arr.shape[1]} exceeds ambient dimension {arr.shape[0]}"
             )
-        gram = arr.conj().T @ arr
-        dev = hs_norm(gram - np.eye(arr.shape[1]))
-        if not dev <= ORTHO_TOL:
-            raise RankMismatch(f"columns not orthonormal (deviation {dev:.3e})")
+        dev = hs_norm(arr.conj().T @ arr - np.eye(arr.shape[1]))
+        check_within(dev, ORTHO_TOL, 0.0, RankMismatch, "columns not orthonormal")
         object.__setattr__(self, "matrix", freeze(arr))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
@@ -231,7 +248,7 @@ class Frame:
         arr = as_matrix(columns)
         q, r = np.linalg.qr(arr)
         diag = np.abs(np.diag(r))
-        if arr.shape[1] and diag.min() <= 1e-12 * max(1.0, diag.max()):
+        if arr.shape[1] and not clears(float(diag.min()), 1e-12, float(diag.max())):
             raise RankMismatch("columns are numerically dependent")
         return cls(q)
 

@@ -19,7 +19,7 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError, NoPairing, OutsideChart
-from .linalg import Frame, as_matrix, hs_norm, right_divide
+from .linalg import Frame, as_matrix, check_clears, hs_norm, right_divide
 from .polarization import EigenSplit, OrthogonalPolarization
 from .siegel import (
     KERNEL_THRESHOLD,
@@ -130,8 +130,8 @@ def find_chart(w, split: EigenSplit) -> FindChartResult:
         v = Fw @ x
         candidates = [l for l in range(1, n + 1) if l not in S]
         scores = np.array([abs(dual[n + l - 1] @ v) for l in candidates])
-        if scores.max(initial=0.0) <= PAIRING_THRESHOLD:
-            raise NoPairing("kernel vector pairs with no admissible index")
+        check_clears(float(scores.max(initial=0.0)), PAIRING_THRESHOLD, 0.0, NoPairing,
+                     "kernel vector pairs with no admissible index: best pairing")
         S = ChartIndex.of(S.indices + (candidates[int(scores.argmax())],))
     raise NoPairing("chart search failed to terminate")  # pragma: no cover
 

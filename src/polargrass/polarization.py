@@ -41,6 +41,8 @@ from .linalg import (
     Frame,
     Tolerances,
     as_matrix,
+    check_clears,
+    check_within,
     freeze,
     hs_norm,
     smallest_singular_value,
@@ -102,14 +104,14 @@ def complexify(t: CompatibleTriple) -> ComplexifiedSpace:
     The sesquilinear metric and bilinear symplectic form satisfy
     ``g(v, w) = omega(v, J alpha(w))`` and ``omega(v, w) = g(Jv, alpha(w))``
     for complex vectors, which is to say ``G = Omega J`` and
-    ``Omega = J^T G``; a violation means the inputs were inconsistent.
+    ``Omega = J^T G``; a violation means the inputs were inconsistent.  The
+    residuals are read from ``t.report``, under a budget not moved by ``eq_tol``.
     """
     space = ComplexifiedSpace(t)
-    G, Om, J = t.G, t.Omega, t.Jmat
-    worst = max(hs_norm(G - Om @ J), hs_norm(Om - J.T @ G))
-    scale = max(1.0, hs_norm(G), hs_norm(Om)) * space.dim
-    if worst > 1e-10 * scale:
-        raise InvariantViolation(f"extension identities fail by {worst:.3e}")
+    scale = max(hs_norm(t.G), hs_norm(t.Omega))
+    for name in ("g_from_omega_J", "omega_from_g_J"):
+        check_within(t.report.residuals[name], 1e-10 * space.dim, scale, InvariantViolation,
+                     f"extension identity {name} fails")
     return space
 
 
@@ -121,22 +123,27 @@ class EigenSplit:
     Both blocks are g-orthonormal, so ``dual @ basis = I`` with
     ``basis = [lplus | lminus]`` and ``dual = basis^* G``; compressing an
     operator T as ``dual @ T @ basis`` expresses it in paired coordinates.
+    The gates keep ``eigenvector_residual = ||J lplus - i lplus||`` and
+    ``gram_residual = ||lplus^* G lplus - I||``.
     """
 
     space: ComplexifiedSpace
     J: np.ndarray
     lplus: np.ndarray
+    eigenvector_residual: float = field(init=False, compare=False, repr=False)
+    gram_residual: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "J", freeze(np.asarray(self.J, dtype=np.complex128)))
-        object.__setattr__(self, "lplus", freeze(np.asarray(self.lplus, dtype=np.complex128)))
-        n = self.n
-        dev_eig = hs_norm(self.J @ self.lplus - 1j * self.lplus)
-        dev_onb = hs_norm(self.space.gram(self.lplus) - np.eye(n))
-        if dev_eig > 1e-9 * max(1.0, hs_norm(self.J)):
-            raise EigenspaceDimension(f"columns not in the +i eigenspace ({dev_eig:.3e})")
-        if dev_onb > 1e-9:
-            raise InvariantViolation(f"eigenframe not g-orthonormal ({dev_onb:.3e})")
+        J = freeze(np.asarray(self.J, dtype=np.complex128))
+        L = freeze(np.asarray(self.lplus, dtype=np.complex128))
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "lplus", L)
+        eig = check_within(hs_norm(J @ L - 1j * L), 1e-9, hs_norm(J), EigenspaceDimension,
+                           "columns not in the +i eigenspace")
+        gram = check_within(hs_norm(self.space.gram(L) - np.eye(self.n)), 1e-9, 0.0,
+                            InvariantViolation, "eigenframe not g-orthonormal")
+        object.__setattr__(self, "eigenvector_residual", eig)
+        object.__setattr__(self, "gram_residual", gram)
 
     @property
     def n(self) -> int:
@@ -200,8 +207,8 @@ def eigensplit(space: ComplexifiedSpace, J=None, tol: Tolerances = DEFAULT_TOL) 
     K, Kinv = sqrt_pair_hermitian(space.G, tol)
     A = K @ (-1j * J) @ Kinv
     eigvals, eigvecs = np.linalg.eigh(0.5 * (A + A.conj().T))
-    if hs_norm(np.abs(eigvals) - 1.0) > 1e-8 * space.dim:
-        raise EigenspaceDimension("J eigenvalues deviate from +-i")
+    dev = hs_norm(np.abs(eigvals) - 1.0)
+    check_within(dev, 1e-8 * space.dim, 0.0, EigenspaceDimension, "J eigenvalues deviate from +-i")
     pos = eigvals > 0
     if int(pos.sum()) != space.dim // 2:
         raise EigenspaceDimension(
@@ -243,10 +250,8 @@ class Polarization:
         """Isotropy and the setting's own residuals; raises on violation."""
         W = self.wplus.matrix
         form = self.space.form(self.sign)
-        iso = hs_norm(W.T @ form @ W)
-        if iso > 1e-9 * max(1.0, hs_norm(form)):
-            name = "omega" if self.sign > 0 else "g"
-            raise InvariantViolation(f"W not {name}-isotropic ({iso:.3e})")
+        what = "W not omega-isotropic" if self.sign > 0 else "W not g-isotropic"
+        iso = check_within(hs_norm(W.T @ form @ W), 1e-9, hs_norm(form), InvariantViolation, what)
         return {"isotropy": iso, **self._gates()}
 
     def _gates(self) -> dict[str, float]:
@@ -266,9 +271,9 @@ class OrthogonalPolarization(Polarization):
     def _gates(self) -> dict[str, float]:
         Fg = self.gframe
         proj = Fg @ (Fg.conj().T @ self.space.G)
-        span = hs_norm(proj + np.conj(proj) - np.eye(self.space.dim))
-        if span > 1e-9 * self.space.dim:
-            raise NotComplementary(f"W + alpha(W) does not span ({span:.3e})")
+        dim = self.space.dim
+        span = hs_norm(proj + np.conj(proj) - np.eye(dim))
+        check_within(span, 1e-9 * dim, 0.0, NotComplementary, "W + alpha(W) does not span")
         return {"spanning": span}
 
 
@@ -286,12 +291,10 @@ class PositiveSymplecticPolarization(Polarization):
     def _gates(self) -> dict[str, float]:
         W = self.wplus.matrix
         span = smallest_singular_value(np.hstack([W, np.conj(W)]))
-        if span <= 1e-8:
-            raise NotComplementary(f"W + alpha(W) degenerate (sigma_min {span:.3e})")
+        check_clears(span, 1e-8, 0.0, NotComplementary, "W + alpha(W) degenerate: sigma_min")
         M = self.positivity_matrix()
         min_eig = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min())
-        if min_eig <= self.tol.spd_tol:
-            raise NotPositive(f"positivity matrix min eigenvalue {min_eig:.3e}")
+        check_clears(min_eig, self.tol.spd_tol, 0.0, NotPositive, "positivity min eigenvalue")
         return {"spanning_sigma_min": span, "positivity_min_eig": min_eig}
 
 
@@ -313,12 +316,11 @@ def triple_from_polarization(pol: Polarization) -> CompatibleTriple:
     W = pol.wplus.matrix
     n = W.shape[1]
     B = np.hstack([W, np.conj(W)])
-    if smallest_singular_value(B) <= 1e-10 * max(1.0, np.abs(B).max()):
-        raise NotRealizable("alpha(W) does not complement W")
+    check_clears(smallest_singular_value(B), 1e-10, float(np.abs(B).max()), NotRealizable,
+                 "alpha(W) does not complement W: sigma_min")
     Jw = (B * np.concatenate([1j * np.ones(n), -1j * np.ones(n)])) @ np.linalg.inv(B)
     dev = hs_norm(Jw - np.conj(Jw))
-    if dev > 1e-9 * max(1.0, hs_norm(Jw)):
-        raise NotRealizable(f"structure does not commute with alpha ({dev:.3e})")
+    check_within(dev, 1e-9, hs_norm(Jw), NotRealizable, "structure does not commute with alpha")
     J = ComplexStructure(Jw.real)
     triple = pol.space.triple
     if pol.sign < 0:
@@ -375,7 +377,6 @@ def across_norm(F1: np.ndarray, F2: np.ndarray) -> float:
         If the span of F2 and its conjugate is not the whole space.
     """
     B = np.hstack([F2, np.conj(F2)])
-    if smallest_singular_value(B) <= 1e-10:
-        raise NotComplementary("W2 + alpha(W2) does not span")
+    check_clears(smallest_singular_value(B), 1e-10, 0.0, NotComplementary, "W2 + alpha(W2) singular")
     coords = np.linalg.solve(B, F1)
     return hs_norm(coords[F2.shape[1] :])

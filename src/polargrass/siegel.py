@@ -32,8 +32,11 @@ from .linalg import (
     Frame,
     Tolerances,
     as_matrix,
+    check_clears,
     check_invertible,
     check_symmetry,
+    check_within,
+    clears,
     freeze,
     hs_norm,
     inverse_sqrt_hermitian,
@@ -49,6 +52,9 @@ from .polarization import EigenSplit, Polarization
 #: Relative cut at or below which a chart projection's singular value is kernel.
 KERNEL_THRESHOLD = 1e-8
 
+#: Relative budget of the paired-block identities and of a compressed map's pairing.
+BLOCK_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class SignedMatrix:
@@ -56,17 +62,20 @@ class SignedMatrix:
 
     The graph coordinates of both settings: symmetric for ``sign = 1``,
     antisymmetric for ``sign = -1``.  Subclasses add their own conditions.
+    ``symmetry_residual`` is ``||Z - sign Z^T||`` from the symmetry check.
     """
 
     sign: ClassVar[int] = 1
     Z: np.ndarray
     atol: float = field(default=1e-10, compare=False)
+    symmetry_residual: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         Z = as_matrix(self.Z, square=True)
         what = "Z not symmetric" if self.sign > 0 else "Z not antisymmetric"
-        check_symmetry(Z, self.sign, self.atol, InvariantViolation, what)
+        dev = check_symmetry(Z, self.sign, self.atol, InvariantViolation, what)
         object.__setattr__(self, "Z", freeze(Z))
+        object.__setattr__(self, "symmetry_residual", dev)
 
     @property
     def n(self) -> int:
@@ -87,8 +96,7 @@ class SiegelPoint(SignedMatrix):
     def __post_init__(self) -> None:
         super().__post_init__()
         norm = op_norm(self.Z)
-        if norm >= 1.0 - 1e-12:
-            raise InvariantViolation(f"Z not a strict contraction (opnorm {norm:.6f})")
+        check_clears(1.0 - norm, 1e-12, 0.0, InvariantViolation, "Z not a strict contraction: 1-||Z||")
         object.__setattr__(self, "opnorm", norm)
 
 
@@ -99,14 +107,14 @@ class SiegelReport:
     member: bool
 
 
-def _membership(Z: np.ndarray, positive, budget: float, tol: Tolerances) -> SiegelReport:
+def _membership(Z: np.ndarray, positive, tol: Tolerances) -> SiegelReport:
     """Report for ``Z`` whose model needs ``positive`` positive definite;
     InvariantViolation if a residual overflows, as no report could carry it."""
     sym = symmetry_deviation(Z)
     if not (math.isfinite(sym) and np.all(np.isfinite(positive))):
         raise InvariantViolation("membership residuals of Z overflow")
     min_eig = min_eig_hermitian(positive)
-    member = within(sym, budget, hs_norm(Z)) and min_eig > tol.spd_tol
+    member = within(sym, tol.eq_tol, hs_norm(Z)) and clears(min_eig, tol.spd_tol, 0.0)
     return SiegelReport(sym, min_eig, member)
 
 
@@ -118,7 +126,7 @@ def siegel_membership(Z, tol: Tolerances = DEFAULT_TOL) -> SiegelReport:
     symmetry within ``eq_tol``.
     """
     Z = as_matrix(Z, square=True)
-    return _membership(Z, np.eye(Z.shape[0]) - Z.conj().T @ Z, tol.eq_tol, tol)
+    return _membership(Z, np.eye(Z.shape[0]) - Z.conj().T @ Z, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,14 +135,14 @@ class UpperHalfPoint(SignedMatrix):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if min_eig_hermitian((self.Z - self.Z.conj().T) / 2j) <= 0.0:
-            raise NotUpperHalf("imaginary part is not positive definite")
+        min_eig = min_eig_hermitian((self.Z - self.Z.conj().T) / 2j)
+        check_clears(min_eig, 0.0, 0.0, NotUpperHalf, "imaginary part is not positive definite")
 
 
 def halfspace_membership(Z, tol: Tolerances = DEFAULT_TOL) -> SiegelReport:
     """Membership report for the half-space model (min eigenvalue of Im Z)."""
     Z = as_matrix(Z, square=True)
-    return _membership(Z, (Z - Z.conj().T) / 2j, tol.eq_tol, tol)
+    return _membership(Z, (Z - Z.conj().T) / 2j, tol)
 
 
 def disk_to_halfspace(p: SiegelPoint) -> UpperHalfPoint:
@@ -148,8 +156,7 @@ def disk_to_halfspace(p: SiegelPoint) -> UpperHalfPoint:
     """
     Z = p.Z
     eye = np.eye(p.n)
-    if smallest_singular_value(eye - Z) <= 1e-12:
-        raise BoundaryContact("I - Z is singular")
+    check_clears(smallest_singular_value(eye - Z), 1e-12, 0.0, BoundaryContact, "I - Z is singular")
     res = 1j * (eye + Z) @ np.linalg.inv(eye - Z)
     return UpperHalfPoint(res, atol=max(p.atol, 1e-10))
 
@@ -158,15 +165,15 @@ class PairedBlocks:
     """Paired blocks (a, b) of a real map ``M = [[a, conj(b)], [b, conj(a)]]``.
 
     Invariants: ``a* a - sign b* b = I`` and ``a^T b = sign b^T a``.  For
-    ``sign = 1`` (symplectic) each holds within ``atol`` relative to
+    ``sign = 1`` (symplectic) each holds within :data:`BLOCK_TOL` relative to
     ``||a||^2`` and ``a`` must be invertible; for ``sign = -1`` (orthogonal)
-    ``M* M - I`` is within ``atol`` relative to ``||M||``, and a singular
-    ``a`` is legitimate: M then moves L+ onto a subspace meeting L-.
+    ``M* M - I`` is within :data:`BLOCK_TOL` relative to ``||M||``, and a
+    singular ``a`` is legitimate: M then moves L+ onto a subspace meeting L-.
     """
 
-    __slots__ = ("a", "b", "sign", "atol")
+    __slots__ = ("a", "b", "sign")
 
-    def __init__(self, a, b, sign: int = 1, atol: float = 1e-9) -> None:
+    def __init__(self, a, b, sign: int = 1) -> None:
         a = as_matrix(a, square=True)
         b = as_matrix(b, square=True)
         if a.shape != b.shape:
@@ -175,20 +182,19 @@ class PairedBlocks:
             raise FormatError(f"sign must be 1 or -1, got {sign!r}")
         dev1 = hs_norm(a.conj().T @ a - sign * (b.conj().T @ b) - np.eye(a.shape[0]))
         dev2 = hs_norm(a.T @ b - sign * (b.T @ a))
-        what = f"block identities fail ({dev1:.3e}, {dev2:.3e})"
         if sign > 0:
             scale = hs_norm(a) ** 2
-            if not (within(dev1, atol, scale) and within(dev2, atol, scale)):
-                raise NotSymplectic(what)
+            check_within(dev1, BLOCK_TOL, scale, NotSymplectic, "a* a - b* b = I fails")
+            check_within(dev2, BLOCK_TOL, scale, NotSymplectic, "a^T b = b^T a fails")
             check_invertible(a, 1e-12, NumericallySingular, "block a is singular")
-        # M* M - I holds each residual block twice, as M holds each block
-        elif not within(math.sqrt(2.0) * math.hypot(dev1, dev2), atol,
-                        math.sqrt(2.0) * math.hypot(hs_norm(a), hs_norm(b))):
-            raise NotOrthogonal(what)
+        else:
+            # M* M - I holds each residual block twice, as M holds each block
+            scale = math.sqrt(2.0) * math.hypot(hs_norm(a), hs_norm(b))
+            check_within(math.sqrt(2.0) * math.hypot(dev1, dev2), BLOCK_TOL, scale, NotOrthogonal,
+                         "M* M = I fails")
         object.__setattr__(self, "a", freeze(a))
         object.__setattr__(self, "b", freeze(b))
         object.__setattr__(self, "sign", int(sign))
-        object.__setattr__(self, "atol", float(atol))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PairedBlocks is immutable")
@@ -212,7 +218,7 @@ class PairedBlocks:
         return np.block([[self.a, self.b.conj()], [self.b, self.a.conj()]])
 
     def inverse(self) -> "PairedBlocks":
-        return PairedBlocks(self.a.conj().T, -self.sign * self.b.T, self.sign, atol=self.atol)
+        return PairedBlocks(self.a.conj().T, -self.sign * self.b.T, self.sign)
 
     def compose(self, other: "PairedBlocks") -> "PairedBlocks":
         """Blocks of ``self o other``."""
@@ -222,7 +228,7 @@ class PairedBlocks:
             raise ShapeViolation("cannot compose blocks of different signs")
         a = self.a @ other.a + self.b.conj() @ other.b
         b = self.b @ other.a + self.a.conj() @ other.b
-        return PairedBlocks(a, b, self.sign, atol=max(self.atol, other.atol))
+        return PairedBlocks(a, b, self.sign)
 
     def __repr__(self) -> str:
         return f"PairedBlocks(n={self.n}, sign={self.sign:+d})"
@@ -232,7 +238,7 @@ class PairedBlocks:
 BlockSymplectic = PairedBlocks
 
 
-def block_decompose(u, split: EigenSplit, sign: int = 1, tol: Tolerances = DEFAULT_TOL, atol: float | None = None) -> PairedBlocks:
+def block_decompose(u, split: EigenSplit, sign: int = 1) -> PairedBlocks:
     """Compress a real map into paired blocks.
 
     Parameters
@@ -242,8 +248,6 @@ def block_decompose(u, split: EigenSplit, sign: int = 1, tol: Tolerances = DEFAU
         metric (``sign = -1``) of ``split.space``.
     split
         Paired eigenbasis fixing the coordinates.
-    atol
-        Tolerance forwarded to the block invariants (defaults to 1e-9).
 
     Raises
     ------
@@ -255,19 +259,19 @@ def block_decompose(u, split: EigenSplit, sign: int = 1, tol: Tolerances = DEFAU
     """
     u = as_matrix(u, square=True)
     form = split.space.form(sign)
-    dev = hs_norm(u.T @ form @ u - form)
-    if dev > tol.eq_tol * max(1.0, op_norm(u) ** 2) * max(1.0, hs_norm(form)):
-        error, what = (NotSymplectic, "omega") if sign > 0 else (NotOrthogonal, "metric")
-        raise error(f"{what} preservation fails by {dev:.3e}")
+    error, what = (NotSymplectic, "omega") if sign > 0 else (NotOrthogonal, "metric")
+    unorm = op_norm(u)
+    # a product, not ** 2: an overflowing scale fails the gate instead of raising OverflowError
+    check_within(hs_norm(u.T @ form @ u - form), 1e-10 * max(1.0, hs_norm(form)), unorm * unorm,
+                 error, f"{what} preservation fails")
     M = split.compress(u)
     n = split.n
     a, tr = M[:n, :n], M[:n, n:]
     b, br = M[n:, :n], M[n:, n:]
-    pair_dev = max(hs_norm(tr - b.conj()), hs_norm(br - a.conj()))
-    budget = 1e-9 if atol is None else atol
-    if pair_dev > budget * max(1.0, hs_norm(M)):
-        raise ShapeViolation(f"compressed matrix is not alpha-paired ({pair_dev:.3e})")
-    return PairedBlocks(a, b, sign, atol=budget)
+    scale = hs_norm(M)
+    for dev in (hs_norm(tr - b.conj()), hs_norm(br - a.conj())):
+        check_within(dev, BLOCK_TOL, scale, ShapeViolation, "compressed matrix is not alpha-paired")
+    return PairedBlocks(a, b, sign)
 
 
 def mobius(a, b, Z, rel: float, error: type, what: str) -> np.ndarray:
@@ -296,8 +300,7 @@ def mobius_act(u: PairedBlocks, p: SignedMatrix) -> SignedMatrix:
     if u.sign != p.sign:
         raise ShapeViolation(f"blocks of sign {u.sign:+d} cannot act on {type(p).__name__}")
     Z2 = mobius(u.a, u.b, p.Z, 1e-12, NumericallySingular, "denominator is singular")
-    sym_budget = max(p.atol, u.atol * 10.0, 1e-10)
-    return type(p)(Z2, atol=sym_budget)
+    return type(p)(Z2, atol=max(p.atol, 10.0 * BLOCK_TOL))
 
 
 def sp_from_siegel_point(p: SiegelPoint) -> PairedBlocks:
@@ -367,7 +370,7 @@ def graph_frame(p: SiegelPoint, split: EigenSplit) -> Frame:
     return Frame.from_columns(graph_columns(split, p.Z))
 
 
-def graph_operator(w, split: EigenSplit, atol: float = 1e-10) -> SiegelPoint:
+def graph_operator(w, split: EigenSplit) -> SiegelPoint:
     """Invert :func:`graph_frame`: read off Z from a positive Lagrangian.
 
     Accepts a :class:`Frame` or a :class:`Polarization`.
@@ -383,7 +386,7 @@ def graph_operator(w, split: EigenSplit, atol: float = 1e-10) -> SiegelPoint:
     kernel, Z = chart_solve(split.dual, frame.matrix)
     if kernel:
         raise ProjectionSingular(f"projection to L+ is singular (kernel dimension {kernel})")
-    return SiegelPoint(Z, atol=atol)
+    return SiegelPoint(Z)
 
 
 @dataclass(frozen=True)

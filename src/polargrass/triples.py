@@ -27,10 +27,14 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_real_matrix,
+    check_clears,
     check_invertible,
     check_symmetry,
+    check_within,
+    clears,
     freeze,
     hs_norm,
+    min_eig_hermitian,
     smallest_singular_value,
     within,
 )
@@ -61,8 +65,7 @@ class BilinearForm:
         sign = 1.0 if self.kind == "symmetric" else -1.0
         check_symmetry(arr, sign, 1e-10, InvariantViolation, f"form is not {self.kind}")
         smin = smallest_singular_value(arr)
-        if smin <= 1e-12 * max(1.0, hs_norm(arr)):
-            raise InvariantViolation(f"form is degenerate (sigma_min {smin:.3e})")
+        check_clears(smin, 1e-12, hs_norm(arr), InvariantViolation, "form is degenerate: sigma_min")
         object.__setattr__(self, "matrix", freeze(arr))
         object.__setattr__(self, "min_singular_value", smin)
 
@@ -85,8 +88,7 @@ class ComplexStructure:
         if arr.shape[0] % 2 != 0 or arr.shape[0] == 0:
             raise DimensionMismatch("a complex structure needs even positive dimension")
         dev = hs_norm(arr @ arr + np.eye(arr.shape[0]))
-        if not within(dev, 1e-10, hs_norm(arr) ** 2):
-            raise NotAComplexStructure(f"J^2 deviates from -I by {dev:.3e}")
+        check_within(dev, 1e-10, hs_norm(arr) ** 2, NotAComplexStructure, "J^2 deviates from -I")
         object.__setattr__(self, "matrix", freeze(arr))
 
     @property
@@ -94,19 +96,14 @@ class ComplexStructure:
         return self.matrix.shape[0]
 
 
-def _residuals(G: np.ndarray, J: np.ndarray, Om: np.ndarray) -> dict[str, float]:
-    ginv_om = np.linalg.solve(G, Om)
-    return {
-        "g_from_omega_J": hs_norm(G - Om @ J),
-        "omega_from_g_J": hs_norm(Om - J.T @ G),
-        "J_from_g_omega": hs_norm(J + ginv_om),
-    }
-
-
 @dataclass(frozen=True)
 class TripleReport:
+    """Identity residuals and the smallest eigenvalue of G, each with its verdict."""
+
     residuals: dict[str, float]
     compatible: bool
+    g_min_eigenvalue: float
+    positive: bool
 
     @property
     def max_residual(self) -> float:
@@ -130,12 +127,14 @@ def verify_triple(
     omega
         Antisymmetric form.
     tol
-        ``tol.eq_tol`` bounds each identity residual.
+        ``tol.eq_tol`` bounds each identity residual relative to its operands:
+        ``||Omega|| ||J||``, ``||J|| ||G||`` and ``||Omega|| / sigma_min(G)``;
+        ``tol.spd_tol`` is the positivity margin of G.
 
     Returns
     -------
     TripleReport
-        Per-identity Hilbert-Schmidt residuals and the combined verdict.
+        Identity residuals (Hilbert-Schmidt), G's least eigenvalue, verdicts.
 
     Raises
     ------
@@ -146,32 +145,36 @@ def verify_triple(
         raise FormatError("verify_triple expects (symmetric g, J, antisymmetric omega)")
     if not (g.dim == J.dim == omega.dim):
         raise DimensionMismatch(f"dims differ: g {g.dim}, J {J.dim}, omega {omega.dim}")
-    res = _residuals(g.matrix, J.matrix, omega.matrix)
-    return TripleReport(res, max(res.values()) <= tol.eq_tol)
-
-
-def _require_spd(G: np.ndarray, tol: Tolerances) -> None:
-    eigs = np.linalg.eigvalsh(0.5 * (G + G.T))
-    if eigs.min() <= tol.spd_tol:
-        raise NotPositive(f"minimum eigenvalue {eigs.min():.3e}")
+    G, Jm, Om = g.matrix, J.matrix, omega.matrix
+    nG, nJ, nOm = hs_norm(G), hs_norm(Jm), hs_norm(Om)
+    res = {
+        "g_from_omega_J": hs_norm(G - Om @ Jm),
+        "omega_from_g_J": hs_norm(Om - Jm.T @ G),
+        "J_from_g_omega": hs_norm(Jm + np.linalg.solve(G, Om)),
+    }
+    scales = (nOm * nJ, nJ * nG, nOm / g.min_singular_value)
+    compatible = all(within(r, tol.eq_tol, s) for r, s in zip(res.values(), scales))
+    min_eig = min_eig_hermitian(G)
+    return TripleReport(res, compatible, min_eig, clears(min_eig, tol.spd_tol, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
 class CompatibleTriple:
-    """A verified compatible triple (g, J, omega)."""
+    """A verified compatible triple (g, J, omega) with its :func:`verify_triple` ``report``."""
 
     g: BilinearForm
     J: ComplexStructure
     omega: BilinearForm
     tol: Tolerances = field(default=DEFAULT_TOL, compare=False)
+    report: TripleReport = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         report = verify_triple(self.g, self.J, self.omega, self.tol)
+        if not report.positive:
+            raise NotPositive(f"minimum eigenvalue of g {report.g_min_eigenvalue:.3e}")
         if not report.compatible:
-            raise InvariantViolation(
-                f"triple identities fail: {report.residuals}"
-            )
-        _require_spd(self.g.matrix, self.tol)
+            raise InvariantViolation(f"triple identities fail: {report.residuals}")
+        object.__setattr__(self, "report", report)
 
     @property
     def dim(self) -> int:
@@ -224,10 +227,8 @@ def complete_from_g_J(
     """
     if g.dim != J.dim:
         raise DimensionMismatch(f"dims differ: g {g.dim}, J {J.dim}")
-    _require_spd(g.matrix, tol)
     dev = hs_norm(g.matrix @ J.matrix + J.matrix.T @ g.matrix)
-    if dev > tol.eq_tol * max(1.0, hs_norm(g.matrix)):
-        raise NotSkewAdjoint(f"g-skew-adjointness fails by {dev:.3e}")
+    check_within(dev, tol.eq_tol, hs_norm(g.matrix), NotSkewAdjoint, "g-skew-adjointness fails")
     omega = BilinearForm("antisymmetric", J.matrix.T @ g.matrix)
     return CompatibleTriple(g, J, omega, tol)
 
@@ -244,11 +245,9 @@ def complete_from_g_omega(
     """
     if g.dim != omega.dim:
         raise DimensionMismatch(f"dims differ: g {g.dim}, omega {omega.dim}")
-    _require_spd(g.matrix, tol)
     Jcand = -np.linalg.solve(g.matrix, omega.matrix)
     dev = hs_norm(Jcand @ Jcand + np.eye(g.dim))
-    if dev > tol.eq_tol * max(1.0, hs_norm(Jcand) ** 2):
-        raise NotAComplexStructure(f"candidate squares to -I up to {dev:.3e}")
+    check_within(dev, tol.eq_tol, hs_norm(Jcand) ** 2, NotAComplexStructure, "candidate J^2 + I")
     return CompatibleTriple(g, ComplexStructure(Jcand), omega, tol)
 
 
@@ -270,7 +269,6 @@ def complete_from_J_omega(
         raise DimensionMismatch(f"dims differ: J {J.dim}, omega {omega.dim}")
     Gcand = omega.matrix @ J.matrix
     check_symmetry(Gcand, 1.0, tol.eq_tol, NotSkewSymmetric, "candidate metric is asymmetric")
-    _require_spd(0.5 * (Gcand + Gcand.T), tol)
     g = BilinearForm("symmetric", 0.5 * (Gcand + Gcand.T))
     return CompatibleTriple(g, J, omega, tol)
 
@@ -318,13 +316,13 @@ def group_membership(u, t: CompatibleTriple, tol: Tolerances = DEFAULT_TOL) -> M
     if u.shape[0] != t.dim:
         raise DimensionMismatch(f"u has dim {u.shape[0]}, triple has {t.dim}")
     svals = np.linalg.svd(u, compute_uv=False)
-    invertible = bool(svals.min() > 1e-12 * max(1.0, svals.max()))
+    smax = float(svals.max())
+    invertible = clears(float(svals.min()), 1e-12, smax)
     res_g = hs_norm(u.T @ t.G @ u - t.G)
     res_om = hs_norm(u.T @ t.Omega @ u - t.Omega)
     res_J = hs_norm(u @ t.Jmat - t.Jmat @ u)
-    scale = max(1.0, float(svals.max()) ** 2)
-    orthogonal = invertible and res_g <= tol.eq_tol * scale
-    symplectic = invertible and res_om <= tol.eq_tol * scale
+    orthogonal = invertible and within(res_g, tol.eq_tol, smax * smax)
+    symplectic = invertible and within(res_om, tol.eq_tol, smax * smax)
     return MembershipReport(
         invertible=invertible,
         orthogonal=orthogonal,

@@ -16,7 +16,7 @@ from polargrass.cli import main
 from polargrass.fock import MAX_MODES
 from polargrass.linalg import Frame, op_norm
 from polargrass.polarization import complexify, eigensplit
-from polargrass.sampling import random_orthogonal
+from polargrass.sampling import generate_input, random_orthogonal
 from polargrass.serialize import (
     disk_point_to_json,
     frame_to_json,
@@ -92,6 +92,18 @@ class TestTripleVerbs:
         )
         assert result.exit_code == 2
         assert report_of(result)["error"] == "NotPositive"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pullback_triples_pass_every_triple_verb_at_n32(self, seed):
+        # identities gated relative to their operands; absolute 1e-10 failed all of these
+        cases = [("triple-verify", {"make": "pullback_triple", "n": 32}),
+                 ("polarize", {"make": "pullback_triple", "n": 32})]
+        cases += [("triple-complete", {"make": "partial_triple", "n": 32, "omit": omit})
+                  for omit in ("g", "J", "omega")]
+        for verb, spec in cases:
+            obj = json.loads(json.dumps(generate_input(spec, np.random.default_rng(seed))))
+            report, code = cli.run_verb(verb, obj, cli.Options())
+            assert code == 0 and report["pass"] is True, (verb, spec, report)
 
     def test_complete_needs_exactly_two_members(self, runner, tmp_path):
         result = invoke(runner, tmp_path, "triple-complete", triple_to_json(standard_triple(1)))

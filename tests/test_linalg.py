@@ -17,8 +17,11 @@ from polargrass.linalg import (
     Tolerances,
     as_matrix,
     as_real_matrix,
+    check_clears,
     check_invertible,
     check_symmetry,
+    check_within,
+    clears,
     freeze,
     hs_norm,
     inverse_sqrt_hermitian,
@@ -196,6 +199,31 @@ def test_freeze_copies_and_leaves_the_caller_writeable():
 )
 def test_within_fails_on_nonfinite(dev, scale, ok):
     assert within(dev, 1e-10, scale) is ok
+
+
+@pytest.mark.parametrize(
+    "margin, scale, ok",
+    [
+        (1e-9, 0.0, True),
+        (1e-11, 0.0, False),
+        (1e-9, 100.0, False),
+        (np.nan, 1.0, False),
+        (np.inf, 1.0, False),
+        (1.0, np.inf, False),
+        (1.0, np.nan, False),
+    ],
+)
+def test_clears_fails_on_nonfinite(margin, scale, ok):
+    assert clears(margin, 1e-10, scale) is ok
+
+
+def test_raising_forms_return_what_they_checked():
+    assert check_within(3e-11, 1e-10, 0.0, RankMismatch, "x") == 3e-11
+    assert check_clears(0.5, 1e-10, 2.0, RankMismatch, "x") == 0.5
+    with pytest.raises(RankMismatch, match=r"x \(nan\)"):
+        check_within(np.nan, 1e-10, 0.0, RankMismatch, "x")
+    with pytest.raises(RankMismatch, match=r"x \(nan\)"):
+        check_clears(np.nan, 1e-10, 0.0, RankMismatch, "x")
 
 
 def test_symmetry_check_signs():

@@ -6,6 +6,7 @@ from polargrass.circle import composition_blocks, mobius_diffeo
 from polargrass.errors import (
     DimensionMismatch,
     InvariantViolation,
+    NotOrthogonal,
     NotSymplectic,
     NotUpperHalf,
     NumericallySingular,
@@ -144,6 +145,14 @@ class TestBlocks:
     def test_decompose_rejects_nonsymplectic(self, split4):
         with pytest.raises(NotSymplectic):
             block_decompose(np.diag([2.0] * 4 + [0.5] * 4), split4)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sign, error", [(1, NotSymplectic), (-1, NotOrthogonal)])
+    def test_decompose_rejects_an_overflowing_map_by_name(self, sign, error):
+        # ||u||^2 overflows: an infinite scale fails the gate, not OverflowError
+        split = eigensplit(complexify(standard_triple(2)))
+        with pytest.raises(error):
+            block_decompose(np.diag([1e160, 1.0, 1.0, 1.0]), split, sign)
 
 
 class TestMobiusAction:

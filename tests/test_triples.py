@@ -191,6 +191,33 @@ class TestGroupMembership:
         assert not rep.symplectic
         assert not rep.orthogonal
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_map_is_in_no_group(self):
+        # its squared norm overflows: as a product it is an infinite scale,
+        # which the rule rejects, not Python's OverflowError
+        rep = group_membership(np.diag([1e160, 1.0, 1.0, 1.0]), standard_triple(2))
+        assert not (rep.invertible or rep.orthogonal or rep.symplectic or rep.unitary)
+
+
+class TestRelativeGates:
+    def test_pullback_residuals_sit_far_below_their_bounds(self, rng):
+        # the absolute 1e-10 gate rejected every such triple at n = 32
+        t = pullback_triple(random_invertible(64, rng), standard_triple(32))
+        nG, nJ, nOm = hs_norm(t.G), hs_norm(t.Jmat), hs_norm(t.Omega)
+        scales = (nOm * nJ, nJ * nG, nOm / t.g.min_singular_value)
+        for residual, scale in zip(t.report.residuals.values(), scales):
+            assert residual <= 1e-2 * 1e-10 * max(1.0, scale)
+
+    @pytest.mark.parametrize("n", [2, 32])
+    def test_a_relative_omega_defect_of_1e_8_fails(self, rng, n):
+        t = standard_triple(n)
+        A = rng.standard_normal((2 * n, 2 * n))
+        defect = (A - A.T) * (1e-8 * hs_norm(t.Omega) / hs_norm(A - A.T))
+        omega = BilinearForm("antisymmetric", t.Omega + defect)
+        assert not verify_triple(t.g, t.J, omega).compatible
+        with pytest.raises(InvariantViolation):
+            CompatibleTriple(t.g, t.J, omega)
+
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_completion_roundtrip_over_seeds(seed):
