@@ -400,13 +400,18 @@ def composition_blocks(phi: CircleDiffeo, N: int, K: int | None = None) -> Compo
     return CompositionBlocks(a, b)
 
 
+#: Relative symmetry budget of a Grunsky point, which carries quadrature and
+#: truncation error.
+GRUNSKY_SYMMETRY_TOL = 1e-6
+
+
 def grunsky(phi: CircleDiffeo, N: int, K: int | None = None) -> SiegelPoint:
     """Grunsky-type Siegel point of a circle diffeomorphism at cutoff N.
 
     ``Z = b a^{-1}`` for the paired blocks of the composition operator;
-    symmetric up to quadrature/truncation error (relative 1e-6) and a strict contraction,
-    vanishing (to quadrature accuracy) for Mobius maps, which preserve
-    the polarization.
+    symmetric up to quadrature/truncation error (relative
+    ``GRUNSKY_SYMMETRY_TOL``) and a strict contraction, vanishing (to
+    quadrature accuracy) for Mobius maps, which preserve the polarization.
 
     Raises
     ------
@@ -416,7 +421,7 @@ def grunsky(phi: CircleDiffeo, N: int, K: int | None = None) -> SiegelPoint:
     blocks = composition_blocks(phi, N, K)
     # composition_blocks has already guarded a against singularity
     Z = np.linalg.solve(blocks.a.T, blocks.b.T).T
-    return SiegelPoint(Z, atol=1e-6)
+    return SiegelPoint(Z, atol=GRUNSKY_SYMMETRY_TOL)
 
 
 def fermion_triple(N: int) -> CompatibleTriple:

@@ -24,14 +24,29 @@ import click
 import numpy as np
 
 from . import serialize as se
-from .circle import diffeo_from_spec, fermion_polarization, grunsky, torus_period
+from .circle import (
+    GRUNSKY_SYMMETRY_TOL,
+    diffeo_from_spec,
+    fermion_polarization,
+    grunsky,
+    torus_period,
+)
 from .errors import DomainError, FormatError
 from .fock import basis_residuals, build_fock, check_modes, vacuum_cyclicity_rank
-from .linalg import DEFAULT_TOL, Frame, Tolerances, hs_norm, principal_angle_distance, within
+from .linalg import (
+    DEFAULT_TOL,
+    Frame,
+    Tolerances,
+    clears,
+    hs_norm,
+    principal_angle_distance,
+    within,
+)
 from .orthograss import OrthoGraphOperator, chart_graph_columns, find_chart, transition
 from .polarization import OrthogonalPolarization, complexify, eigensplit
 from .sampling import generate_input
 from .siegel import (
+    CONTRACTION_MARGIN,
     BlockSymplectic,
     UpperHalfPoint,
     halfspace_membership,
@@ -158,7 +173,7 @@ def _verb_polarize(obj, opts: Options) -> dict:
             "omega_isotropy": hs_norm(L.T @ space.Omega @ L),
         },
         "pass": True,
-        "outputs": {"wplus": {**se.matrix_to_json(L), "ambient_dim": t.dim}},
+        "outputs": {"wplus": {**se._matrix(L), "ambient_dim": t.dim}},
     }
 
 
@@ -212,6 +227,10 @@ def _verb_grunsky(obj, opts: Options) -> dict:
     K = _int_option(obj, opts, "quadrature", 16 * N, 1)
     phi = diffeo_from_spec(obj["diffeo"])
     p = grunsky(phi, N, K)
+    # the gates the point passed, read again from the numbers it kept
+    ok = within(p.symmetry_residual, GRUNSKY_SYMMETRY_TOL, hs_norm(p.Z)) and clears(
+        1.0 - p.opnorm, CONTRACTION_MARGIN, 0.0
+    )
     return {
         "verb": "grunsky",
         "inputs": {"kind": obj["diffeo"].get("kind"), "cutoff": N, "quadrature": K},
@@ -219,8 +238,8 @@ def _verb_grunsky(obj, opts: Options) -> dict:
             "z_opnorm": p.opnorm,
             "symmetry_residual": p.symmetry_residual,
         },
-        "pass": True,
-        "outputs": {"Z": se.disk_point_to_json(p)},
+        "pass": ok,
+        "outputs": {"Z": {**se._matrix(p.Z), "model": "disk"}},
     }
 
 
@@ -248,7 +267,7 @@ def _verb_chart_find(obj, opts: Options) -> dict:
         "pass": within(recon, CHART_RECONSTRUCTION_TOL, 0.0),
         "outputs": {
             "chart": se.chart_index_to_json(found.S),
-            "Z": se.matrix_to_json(found.Z.Z),
+            "Z": se._matrix(found.Z.Z),
             "kernel_dims": list(found.kernel_dims),
         },
     }
@@ -273,7 +292,7 @@ def _verb_chart_transition(obj, opts: Options) -> dict:
         },
         "residuals": {"z_antisymmetry": Z2.symmetry_residual},
         "pass": True,
-        "outputs": {"Z": se.matrix_to_json(Z2.Z)},
+        "outputs": {"Z": se._matrix(Z2.Z)},
     }
 
 

@@ -161,7 +161,7 @@ def _hermitian_eigh(a, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(0.5 * (arr + arr.conj().T))
 
 
-def is_positive_definite(a, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_positive_definite(a) -> bool:
     """Whether a Hermitian matrix is positive definite with margin ``spd_tol``.
 
     Raises
@@ -169,8 +169,8 @@ def is_positive_definite(a, tol: Tolerances = DEFAULT_TOL) -> bool:
     NonHermitian
         If ``a`` deviates from Hermitian symmetry beyond ``eq_tol``.
     """
-    eigvals, _ = _hermitian_eigh(a, tol)
-    return clears(float(eigvals.min()), tol.spd_tol, 0.0)
+    eigvals, _ = _hermitian_eigh(a, DEFAULT_TOL)
+    return clears(float(eigvals.min()), DEFAULT_TOL.spd_tol, 0.0)
 
 
 def min_eig_hermitian(a) -> float:
@@ -185,7 +185,7 @@ def _spd_powers(a, powers: tuple[float, ...], tol: Tolerances) -> tuple[np.ndarr
     return tuple((eigvecs * (eigvals**p)) @ eigvecs.conj().T for p in powers)
 
 
-def inverse_sqrt_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def inverse_sqrt_hermitian(a) -> np.ndarray:
     """Inverse square root of a Hermitian positive definite matrix.
 
     Computed through the eigendecomposition; the result is Hermitian
@@ -199,12 +199,12 @@ def inverse_sqrt_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     NotPositiveDefinite
         If the smallest eigenvalue does not clear ``spd_tol``.
     """
-    return _spd_powers(a, (-0.5,), tol)[0]
+    return _spd_powers(a, (-0.5,), DEFAULT_TOL)[0]
 
 
-def sqrt_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def sqrt_hermitian(a) -> np.ndarray:
     """Hermitian positive definite square root (same validation as the inverse)."""
-    return _spd_powers(a, (0.5,), tol)[0]
+    return _spd_powers(a, (0.5,), DEFAULT_TOL)[0]
 
 
 def sqrt_pair_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -231,7 +231,6 @@ class Polarization:
     sign: ClassVar[int]
     space: ComplexifiedSpace
     wplus: Frame
-    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self) -> None:
         dim, frame = self.space.dim, self.wplus
@@ -280,7 +279,7 @@ class OrthogonalPolarization(Polarization):
 @dataclass(frozen=True, eq=False)
 class PositiveSymplecticPolarization(Polarization):
     """An omega-Lagrangian polarization on which ``-i omega(v, alpha(v))``
-    is positive (margin ``tol.spd_tol``)."""
+    is positive (margin ``DEFAULT_TOL.spd_tol``)."""
 
     sign: ClassVar[int] = 1
 
@@ -294,7 +293,7 @@ class PositiveSymplecticPolarization(Polarization):
         check_clears(span, 1e-8, 0.0, NotComplementary, "W + alpha(W) degenerate: sigma_min")
         M = self.positivity_matrix()
         min_eig = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min())
-        check_clears(min_eig, self.tol.spd_tol, 0.0, NotPositive, "positivity min eigenvalue")
+        check_clears(min_eig, DEFAULT_TOL.spd_tol, 0.0, NotPositive, "positivity min eigenvalue")
         return {"spanning_sigma_min": span, "positivity_min_eig": min_eig}
 
 
@@ -324,8 +323,8 @@ def triple_from_polarization(pol: Polarization) -> CompatibleTriple:
     J = ComplexStructure(Jw.real)
     triple = pol.space.triple
     if pol.sign < 0:
-        return complete_from_g_J(triple.g, J, pol.tol)
-    return complete_from_J_omega(J, triple.omega, pol.tol)
+        return complete_from_g_J(triple.g, J)
+    return complete_from_J_omega(J, triple.omega)
 
 
 def hermitian_model(

@@ -14,10 +14,15 @@ significant digits (enough to round-trip any double exactly) and sorts
 object keys, so identical data always produces identical bytes.  The
 stdlib encoder is not used for writing because it offers no control over
 float formatting; reading uses :func:`json.loads` as usual.
+
+A matrix's ``data`` may also be given as the float64 ``(k, 2)`` array of its
+pairs, as the CLI's reports carry it; its text is the same.  Large arrays
+are written in numpy (:func:`_array_pairs`), the rest by ``%``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from itertools import chain
@@ -56,6 +61,158 @@ _FORM_KINDS = ("symmetric", "antisymmetric")
 # ---------------------------------------------------------------------------
 # canonical writing
 
+_PAIR = "[%.17g,%.17g]"
+
+#: Matrices with fewer doubles than this are written by ``%`` alone.  Measured
+#: on a 2-vCPU x86-64 machine: at 4096 doubles the array route takes 0.9 ms
+#: against 2.1 ms for ``%``, but its tables take 2-6 ms to build once, which
+#: the small verbs' largest matrices (2048 doubles, a 32x32 complex matrix)
+#: would not win back in a one-verb process.
+ARRAY_ROUTE_MIN = 4096
+
+#: Doubles per block of the array route, which bounds its scratch memory.
+_BLOCK = 16384
+
+#: Decimal exponents ``floor(log10 |x|)`` of the nonzero finite doubles.
+_K_MIN, _K_MAX = -324, 308
+
+#: Bound on the error of ``v = |x| 10^(16 - k)`` computed in ``longdouble``
+#: with unit roundoff u: the table entry (from an integer of 127 or more bits)
+#: and the product are each rounded once, an error of at most
+#: (2u + u^2 + 2^-126) v on v <= 1e17 + 1, which the 0.1 % added to 2u 1e17
+#: covers for any u >= 2^-113.  Where ``longdouble`` is a plain double this
+#: exceeds 1/2 and every entry falls back.
+_DELTA = 2.002 * float(np.finfo(np.longdouble).eps) / 2 * 1e17
+
+
+def _word(text: bytes) -> int:
+    """``text`` (at most 8 bytes) as a little-endian word, NUL-padded."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+#: The separator after each entry, in the top three bytes of its last word:
+#: ``,`` after the real part, ``],[`` after the imaginary part.
+_SEPARATORS = np.array([_word(b"\0" * 5 + b","), _word(b"\0" * 5 + b"],[")], dtype="<u8")
+
+
+@functools.cache
+def _tables():
+    """The array route's tables, built on first use.
+
+    ``powers[K_MAX - k]`` is ``10^(16 - k)`` in ``longdouble``, rounded once
+    from an exact integer ``n 2^-s`` of 127 or 128 bits; ``groups`` holds the 4-digit
+    ASCII groups, then the same with trailing zeros as NUL; ``heads`` the
+    sign and leading ``0.000`` by ``(negative, length)``; ``exponents`` the
+    ``e+XX`` text by ``k - K_MIN + 1``, with index 0 for none.
+    """
+    scaled = []
+    for e in range(16 - _K_MAX, 16 - _K_MIN + 1):
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        s = 127 - num.bit_length() + den.bit_length()  # so that 2^126 < n < 2^128
+        n = (num << s) // den if s >= 0 else num // (den << -s)
+        scaled.append((n >> 64, n & (2**64 - 1), s))
+    hi, lo, s = zip(*scaled)
+    s = np.array(s)
+    # both halves are exact in longdouble; their sum is the one rounding
+    powers = np.ldexp(np.array(hi, np.uint64).astype(np.longdouble), 64 - s) + np.ldexp(
+        np.array(lo, np.uint64).astype(np.longdouble), -s
+    )
+    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    kept = np.logical_or.accumulate(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    groups = np.concatenate([digits, digits * kept]).view("<u4").reshape(-1)
+    heads = np.array([_word(sign + b"0.000"[:n]) for sign in (b"", b"-") for n in range(6)],
+                     dtype="<u8")
+    exponents = np.array([0] + [_word(b"e%+03d" % k) for k in range(_K_MIN, _K_MAX + 2)],
+                         dtype="<u8")
+    return powers, groups, heads, exponents
+
+
+def _decade(ax: np.ndarray) -> np.ndarray:
+    """``floor(log10 ax)``, ``-inf`` at zero.  ``log10`` may round across an
+    integer near a power of ten; the range checks of :func:`_array_block`
+    catch a decade that is one off either way."""
+    with np.errstate(divide="ignore"):
+        return np.floor(np.log10(ax))
+
+
+def _array_block(flat: np.ndarray) -> str:
+    """The text of an even number of finite doubles ``re, im, re, im, ...``,
+    every pair's ``[`` left to the text before it and its ``],[`` written.
+
+    Each entry is decided in numpy when its 17 digits are certain: with
+    ``k = floor(log10 |x|)`` and ``v = |x| 10^(16 - k)``, the digits are
+    ``rint(v)`` unless v lies within ``_DELTA`` of a tie, and ``v >= 1e16``
+    and ``rint(v) <= 1e17`` confirm k (``1e17`` rolls over to ``1e16`` at
+    ``k + 1``).  It is laid out in four 8-byte words, NUL where ``%.17g``
+    writes nothing: sign, leading ``0.000``, first digit and point | the 16
+    further digits | exponent and separator.  Zeros, entries near a tie or
+    outside the tables, and those ``%.17g`` writes with digits before the
+    point (``10 <= |x| < 1e17``) are written by ``%`` instead.
+    """
+    powers, groups, heads, exponents = _tables()
+    n = flat.size
+    ax = np.abs(flat)
+    k = _decade(ax)
+    ok = (k >= _K_MIN) & (k <= _K_MAX)
+    v = ax.astype(np.longdouble) * powers[np.where(ok, _K_MAX - k, 0).astype(np.intp)]
+    r = np.rint(v)
+    ok &= (np.abs(v - r) < 0.5 - _DELTA) & (v >= 1e16) & (r <= 1e17)
+    digits = np.where(ok, r, 1e16).astype(np.int64)
+    roll = digits == 10**17
+    digits[roll] = 10**16
+    k = np.where(ok, k, 0).astype(np.int64) + roll
+    ok &= (k < 1) | (k > 16)
+    # four 4-digit groups, each NUL-stripped when the groups after it are zero
+    quads = np.empty((n, 4), np.int64)
+    lead = digits
+    for j in (3, 2, 1, 0):
+        lead, quads[:, j] = np.divmod(lead, 10000)
+    later_zero = np.full(n, 10000)
+    for j in (3, 2, 1, 0):
+        quads[:, j] += later_zero
+        later_zero *= quads[:, j] == 10000
+    # k in [1, 16] has fallen back: sci marks where an exponent is written
+    sci = (k < -4) | (k > 0)
+    point = sci | (k == 0)
+    head = heads[np.where(point, 0, 1 - k) + 6 * (flat < 0)]
+    head |= (lead.astype("<u8") + ord("0")) << 48
+    head |= (point & (later_zero == 0)).astype("<u8") * (ord(".") << 56)
+    words = np.empty((n, 4), "<u8")
+    words[:, 0] = head
+    words[:, 1:3] = groups[quads].view("<u8")
+    words[:, 3] = exponents[np.where(sci, k - _K_MIN + 1, 0)]
+    words[:, 3].reshape(-1, 2)[...] |= _SEPARATORS
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        text = ("%-24.17g" * rest.size % tuple(flat[rest].tolist())).encode("ascii")
+        chars = words.view(np.uint8)
+        chars[rest, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
+        chars[rest, 24:29] = 0  # up to the separator
+    return words.tobytes().translate(None, b" \0").decode("ascii")  # NULs and %-padding
+
+
+def _array_pairs(flat: np.ndarray) -> list:
+    """Pieces of the ``[[re,im],...]`` text of ``flat`` (finite, even size,
+    not empty), one block at a time."""
+    pieces = ["[["]
+    pieces += [_array_block(flat[i : i + _BLOCK]) for i in range(0, flat.size, _BLOCK)]
+    pieces[-1] = pieces[-1][:-2] + "]"
+    return pieces
+
+
+def _emit_pairs(pairs: np.ndarray, out: list) -> None:
+    """Write a float64 ``(k, 2)`` array as ``[[re,im],...]``, with the bytes
+    ``"[%.17g,%.17g]" %`` gives each row; a non-finite entry is named."""
+    flat = np.ascontiguousarray(pairs).reshape(-1)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        x = float(flat[np.argmin(finite)])
+        raise FormatError(f"non-finite number {x!r} is not serializable")
+    if flat.size < ARRAY_ROUTE_MIN:
+        out.extend(("[", ",".join([_PAIR] * len(pairs)) % tuple(flat.tolist()), "]"))
+    else:
+        out.extend(_array_pairs(flat))
+
 
 def _is_float_pairs(obj) -> bool:
     """Whether ``obj`` is a non-empty list of ``[re, im]`` lists of floats."""
@@ -65,6 +222,16 @@ def _is_float_pairs(obj) -> bool:
         and set(map(type, obj)) == {list}
         and set(map(len, obj)) == {2}
         and set(map(type, chain.from_iterable(obj))) == {float}
+    )
+
+
+def _is_pair_array(obj) -> bool:
+    """Whether ``obj`` is a float64 ``(k, 2)`` array, as :func:`_matrix` gives."""
+    return (
+        isinstance(obj, np.ndarray)
+        and obj.dtype == np.float64
+        and obj.ndim == 2
+        and obj.shape[1] == 2
     )
 
 
@@ -84,13 +251,10 @@ def _emit(obj, out: list) -> None:
         out.append(f"{x:.17g}")
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
+    elif _is_pair_array(obj):
+        _emit_pairs(obj, out)
     elif _is_float_pairs(obj):
-        # a matrix's data: one format call for the whole list
-        flat = tuple(chain.from_iterable(obj))
-        if not all(map(math.isfinite, flat)):
-            x = next(x for x in flat if not math.isfinite(x))
-            raise FormatError(f"non-finite number {x!r} is not serializable")
-        out.extend(("[", ",".join(["[%.17g,%.17g]"] * len(obj)) % flat, "]"))
+        _emit_pairs(np.array(obj, dtype=np.float64), out)
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -164,15 +328,23 @@ def _entry(pair) -> complex:
         raise FormatError(f"entry {pair!r} does not fit a double") from None
 
 
-def matrix_to_json(mat) -> dict:
+def _matrix(mat) -> dict:
+    """The wire object of a matrix, ``data`` as the float64 ``(k, 2)`` array
+    of its ``[re, im]`` pairs, which :func:`dumps_canonical` writes as the list."""
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2:
         raise FormatError(f"expected a matrix, got ndim {arr.ndim}")
     return {
         "rows": arr.shape[0],
         "cols": arr.shape[1],
-        "data": arr.reshape(-1, 1).view(np.float64).tolist(),
+        "data": arr.reshape(-1, 1).view(np.float64),
     }
+
+
+def matrix_to_json(mat) -> dict:
+    out = _matrix(mat)
+    out["data"] = out["data"].tolist()
+    return out
 
 
 def matrix_from_json(obj, extra: tuple = ()) -> np.ndarray:

@@ -82,6 +82,10 @@ class SignedMatrix:
         return self.Z.shape[0]
 
 
+#: Margin that ``1 - ||Z||_op`` of a SiegelPoint must clear.
+CONTRACTION_MARGIN = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class SiegelPoint(SignedMatrix):
     """A symmetric strict contraction; ``atol`` is the symmetry budget.
@@ -96,7 +100,9 @@ class SiegelPoint(SignedMatrix):
     def __post_init__(self) -> None:
         super().__post_init__()
         norm = op_norm(self.Z)
-        check_clears(1.0 - norm, 1e-12, 0.0, InvariantViolation, "Z not a strict contraction: 1-||Z||")
+        check_clears(
+            1.0 - norm, CONTRACTION_MARGIN, 0.0, InvariantViolation, "Z not a strict contraction: 1-||Z||"
+        )
         object.__setattr__(self, "opnorm", norm)
 
 

@@ -273,7 +273,7 @@ def complete_from_J_omega(
     return CompatibleTriple(g, J, omega, tol)
 
 
-def pullback_triple(u, t: CompatibleTriple, tol: Tolerances = DEFAULT_TOL) -> CompatibleTriple:
+def pullback_triple(u, t: CompatibleTriple) -> CompatibleTriple:
     """Pull a triple back along an invertible real map ``u``.
 
     Forms transform as ``M -> u^{-T} M u^{-1}`` and the structure as
@@ -296,7 +296,6 @@ def pullback_triple(u, t: CompatibleTriple, tol: Tolerances = DEFAULT_TOL) -> Co
         BilinearForm("symmetric", 0.5 * (G + G.T)),
         ComplexStructure(J),
         BilinearForm("antisymmetric", 0.5 * (Om - Om.T)),
-        tol,
     )
 
 
@@ -309,7 +308,7 @@ class MembershipReport:
     residuals: dict[str, float]
 
 
-def group_membership(u, t: CompatibleTriple, tol: Tolerances = DEFAULT_TOL) -> MembershipReport:
+def group_membership(u, t: CompatibleTriple) -> MembershipReport:
     """Flags for u preserving g (orthogonal), omega (symplectic) or both
     (unitary).  A singular u gets all flags false."""
     u = as_real_matrix(u, square=True)
@@ -321,8 +320,8 @@ def group_membership(u, t: CompatibleTriple, tol: Tolerances = DEFAULT_TOL) -> M
     res_g = hs_norm(u.T @ t.G @ u - t.G)
     res_om = hs_norm(u.T @ t.Omega @ u - t.Omega)
     res_J = hs_norm(u @ t.Jmat - t.Jmat @ u)
-    orthogonal = invertible and within(res_g, tol.eq_tol, smax * smax)
-    symplectic = invertible and within(res_om, tol.eq_tol, smax * smax)
+    orthogonal = invertible and within(res_g, DEFAULT_TOL.eq_tol, smax * smax)
+    symplectic = invertible and within(res_om, DEFAULT_TOL.eq_tol, smax * smax)
     return MembershipReport(
         invertible=invertible,
         orthogonal=orthogonal,

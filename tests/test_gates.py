@@ -269,3 +269,27 @@ class TestVerbsReadTheirGates:
     def test_every_handler_takes_options_and_gives_its_help(self):
         for verb, handler in cli._HANDLERS.items():
             assert handler.__doc__ and cli.main.commands[verb].help == handler.__doc__
+
+    @pytest.mark.parametrize(
+        "field, value, verdict",
+        [
+            ("symmetry_residual", lambda budget, margin: 0.5 * budget, True),
+            ("symmetry_residual", lambda budget, margin: 2.0 * budget, False),
+            ("symmetry_residual", lambda budget, margin: NAN, False),
+            ("opnorm", lambda budget, margin: 1.0 - 2.0 * margin, True),
+            ("opnorm", lambda budget, margin: 1.0 - 0.5 * margin, False),
+        ],
+        ids=["residual-within", "residual-beyond", "residual-nan", "norm-clears", "norm-short"],
+    )
+    def test_grunsky_verdict_follows_its_residuals(self, monkeypatch, field, value, verdict):
+        # the point's stored residual is moved to either side of its gate
+        def moved(*args):
+            p = circle.grunsky(*args)
+            budget = circle.GRUNSKY_SYMMETRY_TOL * max(1.0, hs_norm(p.Z))
+            object.__setattr__(p, field, value(budget, siegel.CONTRACTION_MARGIN))
+            return p
+
+        monkeypatch.setattr(cli, "grunsky", moved)
+        obj = {"diffeo": {"kind": "fourier_flow", "coeffs": [[2, 0.15]]}, "cutoff": 16}
+        report, code = cli.run_verb("grunsky", obj, cli.Options())
+        assert report["pass"] is verdict and code == (0 if verdict else 2)

@@ -1,6 +1,9 @@
 """Wire-format tests: canonical emission, exact round-trips, strict readers."""
 
 import json
+import subprocess
+import sys
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -8,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from polargrass import cli
+from polargrass.circle import diffeo_from_spec, grunsky
 from polargrass.errors import DimensionMismatch, FormatError
 from polargrass.linalg import Frame
 from polargrass.orthograss import ChartIndex
@@ -181,6 +186,152 @@ class TestFloatPairBatch:
             ref = [[float(z.real), float(z.imag)] for z in np.asarray(arr, complex).ravel()]
             assert repr(data) == repr(ref)
             assert all(type(x) is float for pair in data for x in pair)
+
+
+def pairs_reference(pairs) -> str:
+    """``"[%.17g,%.17g]" %`` on every row, as the list path writes it."""
+    flat = np.asarray(pairs, dtype=np.float64).reshape(-1)
+    return "[" + ",".join(["[%.17g,%.17g]"] * (flat.size // 2)) % tuple(flat.tolist()) + "]"
+
+
+def array_route(pairs) -> str:
+    """The array route's text, whatever the size."""
+    flat = np.ascontiguousarray(pairs, dtype=np.float64).reshape(-1)
+    return "".join(serialize._array_pairs(flat))
+
+
+def neighbours(x: float) -> list:
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+def as_pairs(values) -> np.ndarray:
+    """``values`` and their negatives, as a ``(k, 2)`` array."""
+    flat = np.array([float(x) for x in values], dtype=np.float64)
+    return np.concatenate([flat, -flat]).reshape(-1, 2)
+
+
+#: The maps of the grunsky benchmark sweep, each at its largest cutoff.
+SWEEP_MAPS = [
+    ({"kind": "rotation", "delta": 2.1}, 256),
+    ({"kind": "mobius", "a": [0.06, -0.08]}, 96),
+    ({"kind": "fourier_flow", "coeffs": [[2, 0.15]]}, 128),
+    ({"kind": "fourier_flow", "coeffs": [[2, 0.3]]}, 64),
+    ({"kind": "fourier_flow", "coeffs": [[3, 0.1], [1, 0.2]]}, 64),
+]
+
+
+class TestArrayRoute:
+    """Large matrices are written in numpy; every byte must be that of ``%``."""
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    min_size=1, max_size=40))
+    def test_any_pairs_match_percent_formatting(self, pairs):
+        assert array_route(pairs) == pairs_reference(pairs)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        # 1e-7 is a trap: log10 gives -7, but the double lies below 1e-7
+        values = [v for e in range(-308, 309) for v in neighbours(float(f"1e{e}"))]
+        assert "9.9999999999999995e-08" in array_route(as_pairs(values))
+        assert array_route(as_pairs(values)) == pairs_reference(as_pairs(values))
+
+    def test_edges_of_the_double_range(self):
+        tiny = 5e-324
+        values = [0.0, tiny, 2 * tiny, 3 * tiny, 1e-320, 2.2250738585072009e-308,
+                  *neighbours(2.2250738585072014e-308), np.nextafter(1.7976931348623157e308, 0),
+                  1.7976931348623157e308,
+                  *neighbours(1e16), *neighbours(1e17), 9.9999999999999999e16, 0.1, 0.5, 1.0,
+                  9.5, 10.0, 99.5, 1e-4, 1e-5, 1.5e-5, 123456.789]
+        values += [float(2**53 + i) for i in range(-4, 5)]
+        values += [float(n) for n in neighbours(2.0**64)] + [float(2**64 + 2**12)]
+        assert array_route(as_pairs(values)) == pairs_reference(as_pairs(values))
+        assert array_route([[-0.0, 0.0]]) == "[[-0,0]]"
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(14).integers(0, 2**64, size=10**6, dtype=np.uint64)
+        flat = bits.view(np.float64)
+        flat = flat[np.isfinite(flat)]
+        pairs = flat[: flat.size // 2 * 2].reshape(-1, 2)
+        assert array_route(pairs) == pairs_reference(pairs)
+
+    @pytest.mark.parametrize("spec, N", SWEEP_MAPS, ids=[f"{s['kind']}-{N}" for s, N in SWEEP_MAPS])
+    def test_grunsky_points_of_the_sweep(self, spec, N):
+        pairs = serialize._matrix(grunsky(diffeo_from_spec(spec), N).Z)["data"]
+        assert pairs.size >= serialize.ARRAY_ROUTE_MIN
+        text = dumps_canonical({"data": pairs})
+        assert text == '{"data":' + pairs_reference(pairs) + "}\n"
+
+    @pytest.mark.parametrize("off", [-1, 1])
+    def test_a_decade_one_off_is_caught(self, monkeypatch, rng, off):
+        # one too low, exact powers of ten round to 1e17 and roll over
+        values = [10.0**e for e in range(23)] + [1e-7, 0.3, 7.0, 99.5, 5e-324]
+        pairs = np.concatenate([as_pairs(values), rng.normal(size=(500, 2)) * 1e-3])
+        expected = pairs_reference(pairs)
+        decade = serialize._decade
+        monkeypatch.setattr(serialize, "_decade", lambda ax: decade(ax) + off)
+        assert array_route(pairs) == expected
+
+    def test_every_entry_through_the_fallback(self, monkeypatch, rng):
+        # a tie budget of 1/2 decides nothing, as where longdouble is a double
+        pairs = np.concatenate([rng.normal(size=(600, 2)) * 10.0 ** rng.integers(-30, 30, (600, 1)),
+                                as_pairs([0.0, 1e-7, 5e-324, 12.5, 1e300])])
+        expected = pairs_reference(pairs)
+        monkeypatch.setattr(serialize, "_DELTA", 0.5)
+        assert array_route(pairs) == expected
+
+    @pytest.mark.parametrize("size", [2, serialize.ARRAY_ROUTE_MIN])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_is_named(self, size, bad):
+        pairs = np.full((size // 2, 2), 0.25)
+        pairs[-1, 0] = bad
+        with pytest.raises(FormatError, match=f"non-finite number {bad!r} is not serializable"):
+            dumps_canonical({"data": pairs})
+
+    def test_other_arrays_are_not_serializable(self):
+        for arr in (np.zeros((2, 3)), np.zeros((4, 2), dtype=np.float32), np.zeros(4)):
+            with pytest.raises(FormatError, match="cannot serialize ndarray"):
+                dumps_canonical(arr)
+
+    def test_list_and_array_write_the_same_matrix(self, rng):
+        M = rng.normal(size=(48, 48)) + 1j * rng.normal(size=(48, 48))
+        assert dumps_canonical(matrix_to_json(M)) == dumps_canonical(serialize._matrix(M))
+
+    def test_large_report_is_emitted_in_bounded_memory(self):
+        # as lists of pairs, this report's emit peaked at 14.8 MB of traced memory
+        tracemalloc.start()
+        try:
+            report, code = cli.run_verb(
+                "grunsky", {"diffeo": {"kind": "rotation", "delta": 0.7}, "cutoff": 256},
+                cli.Options())
+            tracemalloc.reset_peak()
+            text = dumps_canonical(report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(text) > 3_000_000
+        assert peak < 10_000_000
+
+
+COLD_SCRIPT = """
+import json
+from polargrass import cli, serialize
+built = [serialize._tables.cache_info().currsize]
+for N in (16, 64):
+    report, _ = cli.run_verb(
+        "grunsky", {"diffeo": {"kind": "rotation", "delta": 0.3}, "cutoff": N}, cli.Options())
+    serialize.dumps_canonical(report)
+    built.append(serialize._tables.cache_info().currsize)
+print(json.dumps(built))
+"""
+
+
+def test_small_reports_never_build_the_tables():
+    # a fresh interpreter: importing the CLI and a report below the size
+    # switch leave the tables unbuilt; a report above it builds them
+    proc = subprocess.run([sys.executable, "-c", COLD_SCRIPT], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0, 1]
 
 
 class TestMatrixFormat:
