@@ -43,7 +43,7 @@ from .linalg import (
     within,
 )
 from .orthograss import OrthoGraphOperator, chart_graph_columns, find_chart, transition
-from .polarization import OrthogonalPolarization, complexify, eigensplit
+from .polarization import OrthogonalPolarization, complexify, eigensplit, standard_split
 from .sampling import generate_input
 from .siegel import (
     CONTRACTION_MARGIN,
@@ -251,9 +251,7 @@ def _verb_chart_find(obj, opts: Options) -> dict:
         raise FormatError(
             f"polarization frame needs ambient 2n x n, got {w.ambient_dim} x {w.rank}"
         )
-    from .triples import standard_triple
-
-    split = eigensplit(complexify(standard_triple(w.rank)))
+    split = standard_split(w.rank)
     found = find_chart(w, split)
     cols = chart_graph_columns(split, found.S, found.Z)
     recon = principal_angle_distance(Frame.from_columns(cols), w)

@@ -260,10 +260,6 @@ class Frame:
     def rank(self) -> int:
         return self.matrix.shape[1]
 
-    def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the column span (standard pairing)."""
-        return self.matrix @ self.matrix.conj().T
-
     def conj(self) -> "Frame":
         """Frame spanning the entrywise-conjugate subspace."""
         return Frame(self.matrix.conj())
@@ -273,10 +269,13 @@ class Frame:
 
 
 def principal_angle_distance(f1: Frame, f2: Frame) -> float:
-    """Gap distance between two subspaces of equal dimension.
+    """Gap distance between two subspaces of equal dimension: the sine of
+    the largest principal angle.
 
-    Computed as the operator norm of the difference of orthogonal
-    projectors; equals the sine of the largest principal angle.
+    Read from the n-column residual ``B - A (A^* B)`` of ``B = f2.matrix``
+    against ``A = f1.matrix`` (Bjorck-Golub, Math. Comp. 27, 1973), whose
+    operator norm equals that of the projector difference ``P1 - P2`` for
+    subspaces of equal dimension, without forming either projector.
 
     Raises
     ------
@@ -288,7 +287,8 @@ def principal_angle_distance(f1: Frame, f2: Frame) -> float:
             f"incompatible frames: ({f1.ambient_dim},{f1.rank}) vs "
             f"({f2.ambient_dim},{f2.rank})"
         )
-    return op_norm(f1.projector() - f2.projector())
+    A, B = f1.matrix, f2.matrix
+    return op_norm(B - A @ (A.conj().T @ B))
 
 
 def smallest_singular_value(a) -> float:

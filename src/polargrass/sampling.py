@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import FormatError
 from .linalg import op_norm
-from .polarization import complexify, eigensplit
+from .polarization import standard_split
 from .siegel import BlockSymplectic, SiegelPoint, disk_to_halfspace, sp_from_siegel_point
 from .triples import CompatibleTriple, ComplexStructure, pullback_triple, standard_triple
 
@@ -159,8 +159,7 @@ def generate_input(spec: dict, rng: np.random.Generator) -> dict:
             "Z": se.disk_point_to_json(p),
         }
     # orthogonal_subspace: a rotated standard polarization of R^2n.
-    split = eigensplit(complexify(standard_triple(n)))
-    w = random_orthogonal(2 * n, rng) @ split.lplus
+    w = random_orthogonal(2 * n, rng) @ standard_split(n).lplus
     return {
         "frame": {**se.matrix_to_json(w), "ambient_dim": 2 * n},
     }

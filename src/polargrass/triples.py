@@ -79,17 +79,26 @@ class BilinearForm:
 
 @dataclass(frozen=True)
 class ComplexStructure:
-    """A real matrix J with ``J^2 = -I`` (deviation at most 1e-10)."""
+    """A real matrix J with ``J^2 = -I``; ``atol`` is the budget of
+    ``square_residual = ||J^2 + I||`` relative to ``||J||^2``.
+
+    The default budget (1e-10) suits given structures; a completion passes
+    the ``eq_tol`` it was asked for.
+    """
 
     matrix: np.ndarray
+    atol: float = field(default=1e-10, compare=False)
+    square_residual: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         arr = as_real_matrix(self.matrix, square=True)
         if arr.shape[0] % 2 != 0 or arr.shape[0] == 0:
             raise DimensionMismatch("a complex structure needs even positive dimension")
         dev = hs_norm(arr @ arr + np.eye(arr.shape[0]))
-        check_within(dev, 1e-10, hs_norm(arr) ** 2, NotAComplexStructure, "J^2 deviates from -I")
+        check_within(dev, self.atol, hs_norm(arr) ** 2, NotAComplexStructure,
+                     "J^2 deviates from -I")
         object.__setattr__(self, "matrix", freeze(arr))
+        object.__setattr__(self, "square_residual", dev)
 
     @property
     def dim(self) -> int:
@@ -241,14 +250,13 @@ def complete_from_g_omega(
     Raises
     ------
     NotAComplexStructure
-        If the candidate squares to something other than -I.
+        If the candidate squares to something other than -I (budget
+        ``tol.eq_tol``).
     """
     if g.dim != omega.dim:
         raise DimensionMismatch(f"dims differ: g {g.dim}, omega {omega.dim}")
-    Jcand = -np.linalg.solve(g.matrix, omega.matrix)
-    dev = hs_norm(Jcand @ Jcand + np.eye(g.dim))
-    check_within(dev, tol.eq_tol, hs_norm(Jcand) ** 2, NotAComplexStructure, "candidate J^2 + I")
-    return CompatibleTriple(g, ComplexStructure(Jcand), omega, tol)
+    J = ComplexStructure(-np.linalg.solve(g.matrix, omega.matrix), atol=tol.eq_tol)
+    return CompatibleTriple(g, J, omega, tol)
 
 
 def complete_from_J_omega(

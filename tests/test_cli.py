@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from polargrass import cli
+from polargrass import cli, polarization
 from polargrass.circle import CircleDiffeo
 from polargrass.cli import main
 from polargrass.fock import MAX_MODES
 from polargrass.linalg import Frame, op_norm
-from polargrass.polarization import complexify, eigensplit
+from polargrass.polarization import complexify, eigensplit, standard_split
 from polargrass.sampling import generate_input, random_orthogonal
 from polargrass.serialize import (
     disk_point_to_json,
+    dumps_canonical,
+    form_to_json,
     frame_to_json,
     matrix_from_json,
     matrix_to_json,
@@ -27,7 +29,7 @@ from polargrass.serialize import (
     triple_to_json,
 )
 from polargrass.siegel import SiegelPoint
-from polargrass.triples import standard_triple, verify_triple
+from polargrass.triples import BilinearForm, standard_triple, verify_triple
 
 
 def schema(name):
@@ -104,6 +106,18 @@ class TestTripleVerbs:
             obj = json.loads(json.dumps(generate_input(spec, np.random.default_rng(seed))))
             report, code = cli.run_verb(verb, obj, cli.Options())
             assert code == 0 and report["pass"] is True, (verb, spec, report)
+
+    def test_complete_g_omega_follows_tol_eq(self, runner, tmp_path):
+        # one J^2 + I gate, under --tol-eq: 4.0e-9 passes 1e-8, fails 1e-10
+        t = standard_triple(2)
+        omega = BilinearForm("antisymmetric", (1.0 + 1e-9) * t.Omega)
+        payload = {"g": form_to_json(t.g), "omega": form_to_json(omega)}
+        result = invoke(runner, tmp_path, "triple-complete", payload, "--tol-eq", "1e-8")
+        assert result.exit_code == 0
+        assert report_of(result)["pass"] is True
+        result = invoke(runner, tmp_path, "triple-complete", payload)
+        assert result.exit_code == 2
+        assert report_of(result)["error"] == "NotAComplexStructure"
 
     def test_complete_needs_exactly_two_members(self, runner, tmp_path):
         result = invoke(runner, tmp_path, "triple-complete", triple_to_json(standard_triple(1)))
@@ -277,6 +291,50 @@ class TestChartVerbs:
         rep = report_of(result)
         assert rep["residuals"]["reconstruction"] <= 1e-7
         assert rep["outputs"]["kernel_dims"][-1] == 0
+
+    def test_find_report_is_the_same_from_a_cold_or_warm_split(self):
+        obj = generate_input({"make": "orthogonal_subspace", "n": 5}, np.random.default_rng(8))
+        standard_split.cache_clear()
+        cold, code = cli.run_verb("chart-find", obj, cli.Options())
+        warm, _ = cli.run_verb("chart-find", obj, cli.Options())
+        assert code == 0
+        assert dumps_canonical(cold) == dumps_canonical(warm)
+
+    def test_find_builds_the_split_once_per_rank(self, monkeypatch):
+        # the standard atlas is built once; each call still checks its frame
+        calls = []
+        real = polarization.eigensplit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(polarization, "eigensplit", counted)
+        standard_split.cache_clear()
+        rng = np.random.default_rng(9)
+        lplus = standard_split(4).lplus
+        for _ in range(2):
+            payload = {"frame": frame_to_json(Frame(random_orthogonal(8, rng) @ lplus))}
+            report, code = cli.run_verb("chart-find", payload, cli.Options())
+            assert code == 0 and report["pass"] is True
+        assert len(calls) == 1
+        skewed = frame_to_json(Frame(lplus))
+        skewed["data"][0] = [2.0, 0.0]
+        report, code = cli.run_verb("chart-find", {"frame": skewed}, cli.Options())
+        assert (code, report["error"]) == (2, "RankMismatch")
+        short = frame_to_json(Frame(lplus[:, :3]))
+        report, code = cli.run_verb("chart-find", {"frame": short}, cli.Options())
+        assert (code, report["error"]) == (1, "FormatError")
+        assert len(calls) == 1
+
+    def test_find_keeps_the_split_cache_bounded(self):
+        standard_split.cache_clear()
+        bound = standard_split.cache_info().maxsize
+        for n in range(1, bound + 4):
+            obj = generate_input({"make": "orthogonal_subspace", "n": n}, np.random.default_rng(n))
+            report, code = cli.run_verb("chart-find", obj, cli.Options())
+            assert code == 0, report
+        assert standard_split.cache_info().currsize == bound
 
     def test_transition_full_swap(self, runner, tmp_path):
         payload = {
@@ -521,7 +579,7 @@ def test_help_lists_all_verbs(runner):
 NO_SCIPY_SCRIPT = """
 import json, sys
 from importlib import resources
-from polargrass import cli
+from polargrass import cli, polarization
 fock, fock_code = cli.run_verb("fock-car", {"model": "fermion", "cutoff": 9}, cli.Options())
 grunsky, grunsky_code = cli.run_verb(
     "grunsky", {"diffeo": {"kind": "fourier_flow", "coeffs": [[2, 0.15]]}, "cutoff": 16},

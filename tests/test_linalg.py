@@ -161,6 +161,50 @@ def test_principal_angle_rank_mismatch():
         principal_angle_distance(Frame(np.eye(4)[:, :1]), Frame(np.eye(4)[:, :2]))
 
 
+def test_principal_angle_ambient_mismatch():
+    with pytest.raises(RankMismatch):
+        principal_angle_distance(Frame(np.eye(4)[:, :1]), Frame(np.eye(3)[:, :1]))
+
+
+def _projector_gap(f1: Frame, f2: Frame) -> float:
+    """||P1 - P2||_op from the two projectors: the reference formula."""
+    P1 = f1.matrix @ f1.matrix.conj().T
+    P2 = f2.matrix @ f2.matrix.conj().T
+    return op_norm(P1 - P2)
+
+
+def _unitary(rng, dim: int) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 32])
+def test_principal_angle_matches_the_projector_difference(n):
+    rng = np.random.default_rng(n)
+    for rank in sorted({1, max(1, n // 2), n}):
+        f1 = Frame(_unitary(rng, 2 * n)[:, :rank])
+        f2 = Frame(_unitary(rng, 2 * n)[:, :rank])
+        gap = principal_angle_distance(f1, f2)
+        assert gap == pytest.approx(_projector_gap(f1, f2), abs=1e-13)
+        assert gap == pytest.approx(principal_angle_distance(f2, f1), abs=1e-13)
+
+
+@pytest.mark.parametrize("angle", [1e-9, 1e-8, 1e-7, 1e-6])
+@pytest.mark.parametrize("n", [1, 4, 32])
+def test_principal_angle_near_coincident_pairs(n, angle):
+    # span(B) is span(A) with one direction tilted by ``angle`` out of it,
+    # its columns mixed by a unitary: both formulas must see sin(angle)
+    rng = np.random.default_rng(n)
+    Q = _unitary(rng, 2 * n)
+    A = Q[:, :n]
+    B = A.copy()
+    B[:, 0] = np.cos(angle) * A[:, 0] + np.sin(angle) * Q[:, n]
+    f1, f2 = Frame(A), Frame(B @ _unitary(rng, n))
+    gap = principal_angle_distance(f1, f2)
+    for other in (_projector_gap(f1, f2), principal_angle_distance(f2, f1), np.sin(angle)):
+        assert abs(gap - other) <= 1e-5 * angle
+
+
 def test_smallest_singular_value_hand():
     assert smallest_singular_value(np.diag([3.0, 0.25])) == pytest.approx(0.25)
 

@@ -19,6 +19,7 @@ from polargrass.polarization import (
     eigensplit,
     hermitian_model,
     hs_projection_norm,
+    standard_split,
     triple_from_polarization,
 )
 from polargrass.sampling import random_invertible, random_orthogonal
@@ -292,6 +293,34 @@ def test_build_fock_orthonormalizes_the_frame_once(monkeypatch):
     rep = build_fock(pol)
     assert len(calls) == 1
     assert np.array_equal(rep.frame, pol.gframe)
+
+
+def test_standard_split_is_shared_per_rank():
+    split = standard_split(3)
+    assert standard_split(3) is split
+    fresh = eigensplit(complexify(standard_triple(3)))
+    assert np.array_equal(split.lplus, fresh.lplus)
+    assert np.array_equal(split.dual, fresh.dual)
+
+
+def test_standard_split_is_read_only():
+    split = standard_split(2)
+    t = split.space.triple
+    arrays = [split.lplus, split.J, split.basis, split.dual, split.space.G, split.space.Omega,
+              t.G, t.Jmat, t.Omega]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 7.0
+
+
+def test_basis_and_dual_are_formed_once(standard4):
+    _, space, split = standard4
+    assert split.basis is split.basis
+    assert split.dual is split.dual
+    assert np.array_equal(split.basis, np.hstack([split.lplus, split.lminus]))
+    assert np.array_equal(split.dual, split.basis.conj().T @ space.G)
+    assert np.allclose(split.dual @ split.basis, np.eye(4), atol=1e-12)
 
 
 def test_array_holding_types_hash_by_identity():

@@ -12,7 +12,7 @@ from polargrass.errors import (
     NotSkewSymmetric,
     SingularTransform,
 )
-from polargrass.linalg import hs_norm
+from polargrass.linalg import Tolerances, hs_norm
 from polargrass.sampling import random_invertible
 from polargrass.triples import (
     BilinearForm,
@@ -135,6 +135,24 @@ class TestCompletions:
         omega = standard_triple(1).omega
         with pytest.raises(NotAComplexStructure):
             complete_from_g_omega(g, omega)
+
+    def test_complete_g_omega_gates_j_squared_once_under_eq_tol(self):
+        # omega scaled by 1 + 1e-9: ||J^2 + I|| = 4.0e-9 against ||J||^2 = 4
+        t = standard_triple(2)
+        omega = BilinearForm("antisymmetric", (1.0 + 1e-9) * t.Omega)
+        with pytest.raises(NotAComplexStructure):
+            complete_from_g_omega(t.g, omega)
+        done = complete_from_g_omega(t.g, omega, Tolerances(eq_tol=1e-8))
+        assert done.J.atol == 1e-8
+        assert done.J.square_residual == pytest.approx(4e-9, rel=1e-6)
+
+    def test_complex_structure_keeps_its_residual_under_its_budget(self):
+        J = (1.0 + 1e-9) * rotation2(np.pi / 2)
+        with pytest.raises(NotAComplexStructure):
+            ComplexStructure(J)
+        assert ComplexStructure(J, atol=1e-8).square_residual == pytest.approx(
+            hs_norm(J @ J + np.eye(2)))
+        assert ComplexStructure(rotation2(np.pi / 2)).square_residual <= 1e-15
 
     def test_negated_structure_fails_positivity(self):
         # G = omega (-J) = -I: a negative definite "metric"
