@@ -17,7 +17,6 @@ byte-identical across runs.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from dataclasses import dataclass
 
 import click

@@ -15,7 +15,7 @@ the coordinates of the generators pair correctly.  :func:`basis_residuals`
 checks it that way: the basis relations exactly, as integer sign
 vectors, and the coordinate identity in floating point.  The pairwise
 products of represented generators (:func:`car_check`,
-:func:`generator_residuals`) stay as a reference for small mode counts.
+:func:`adjoint_residual`) stay as a reference for small mode counts.
 
 Conventions
 -----------
@@ -58,7 +58,6 @@ __all__ = [
     "build_fock",
     "car_check",
     "adjoint_residual",
-    "generator_residuals",
     "basis_residuals",
     "vacuum_cyclicity_rank",
     "equivalence_certificate",
@@ -417,35 +416,6 @@ def adjoint_residual(rep: FockRep, y: np.ndarray) -> float:
     return _frobenius(lhs - rhs)
 
 
-def generator_residuals(rep: FockRep) -> tuple[float, float]:
-    """Worst CAR and adjoint residuals over the frame generators.
-
-    The generators are the frame vectors ``f_k`` and their conjugates,
-    ordered so that generator ``k + n`` is ``conj(f_k)``.  Each is
-    represented once.  The anticommutator and the pairing are symmetric,
-    so each unordered pair is formed once; the adjoint of generator ``k``
-    is compared with the stored representation of generator ``k + n``.
-    Agrees with the maxima of :func:`car_check` over all ordered pairs
-    and of :func:`adjoint_residual` over all generators.  This is the
-    pairwise reference for :func:`basis_residuals`; its ``n(2n+1)``
-    operator products make it slow beyond about 8 modes.
-    """
-    n = rep.n
-    gens = np.concatenate([rep.frame, np.conj(rep.frame)], axis=1).T
-    reps = [rep.represent(g) for g in gens]
-    pairing = gens @ rep.ambient.G @ gens.T
-    one = FockOperator.identity(rep.dim)
-
-    def defect(i: int, j: int) -> FockOperator:
-        anti = reps[i] @ reps[j] + reps[j] @ reps[i]
-        # most pairs pair to zero, and subtracting 0 * 1 changes no entry
-        return anti - pairing[i, j] * one if pairing[i, j] != 0 else anti
-
-    car = max(_frobenius(defect(i, j)) for i in range(2 * n) for j in range(i, 2 * n))
-    adjoint = max(_frobenius(reps[k] - reps[k + n].H) for k in range(n))
-    return car, adjoint
-
-
 def _basis_name(i: int, n: int) -> str:
     return f"creation[{i}]" if i < n else f"annihilation[{i - n}]"
 
@@ -478,8 +448,8 @@ def basis_residuals(rep: FockRep) -> tuple[float, float]:
     the basis operators and the generators' coordinates.
 
     :meth:`FockRep.represent` is linear, so with coordinates ``P = F* G X``
-    and ``Q = F^T G X`` of the generators ``X = [F, conj F]`` (ordered as
-    in :func:`generator_residuals`) the anticommutator of generators
+    and ``Q = F^T G X`` of the generators ``X = [F, conj F]`` (generator
+    ``k + n`` is ``conj(f_k)``) the anticommutator of generators
     ``i`` and ``j`` is ``sum_ab C_ai C_bj {A_a, A_b}`` for the basis
     operators ``A = creation + annihilation`` and ``C = [P; Q]``.  Three
     checks reduce it to a number:
@@ -500,7 +470,9 @@ def basis_residuals(rep: FockRep) -> tuple[float, float]:
        operators never share an entry, so its norm is
        ``sqrt(sum_a |d_ai|^2 nnz(A_a))``: the returned adjoint residual.
 
-    Agrees with :func:`generator_residuals` to rounding.  What this
+    Agrees to rounding with the maxima of :func:`car_check` over all
+    ordered pairs of generators and of :func:`adjoint_residual` over all
+    generators, which form ``n(2n+1)`` distinct operator products.  What this
     certifies: the basis relations hold exactly, and the coordinate
     identity reduces to the frame being g-orthonormal and bilinearly
     isotropic, which :class:`~polargrass.polarization.Polarization`

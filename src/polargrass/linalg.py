@@ -153,34 +153,18 @@ def right_divide(num, den, rel: float, error: type, what: str) -> np.ndarray:
     return np.linalg.solve(den.T, num.T).T
 
 
-def _hermitian_eigh(a, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of ``a``; raises NonHermitian beyond ``eq_tol`` (relative)."""
-    arr = as_matrix(a, square=True)
-    dev = hs_norm(arr - arr.conj().T)
-    check_within(dev, tol.eq_tol, hs_norm(arr), NonHermitian, "Hermitian deviation")
-    return np.linalg.eigh(0.5 * (arr + arr.conj().T))
-
-
-def is_positive_definite(a) -> bool:
-    """Whether a Hermitian matrix is positive definite with margin ``spd_tol``.
-
-    Raises
-    ------
-    NonHermitian
-        If ``a`` deviates from Hermitian symmetry beyond ``eq_tol``.
-    """
-    eigvals, _ = _hermitian_eigh(a, DEFAULT_TOL)
-    return clears(float(eigvals.min()), DEFAULT_TOL.spd_tol, 0.0)
-
-
 def min_eig_hermitian(a) -> float:
     arr = as_matrix(a, square=True)
     return float(np.linalg.eigvalsh(0.5 * (arr + arr.conj().T)).min())
 
 
 def _spd_powers(a, powers: tuple[float, ...], tol: Tolerances) -> tuple[np.ndarray, ...]:
-    """``a**p`` for each ``p`` in ``powers`` from one validated ``eigh``."""
-    eigvals, eigvecs = _hermitian_eigh(a, tol)
+    """``a**p`` for each ``p`` in ``powers`` from one ``eigh``, after the
+    Hermitian check (``eq_tol``, relative) and the positivity margin (``spd_tol``)."""
+    arr = as_matrix(a, square=True)
+    dev = hs_norm(arr - arr.conj().T)
+    check_within(dev, tol.eq_tol, hs_norm(arr), NonHermitian, "Hermitian deviation")
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (arr + arr.conj().T))
     check_clears(float(eigvals.min()), tol.spd_tol, 0.0, NotPositiveDefinite, "minimum eigenvalue")
     return tuple((eigvecs * (eigvals**p)) @ eigvecs.conj().T for p in powers)
 
@@ -202,14 +186,9 @@ def inverse_sqrt_hermitian(a) -> np.ndarray:
     return _spd_powers(a, (-0.5,), DEFAULT_TOL)[0]
 
 
-def sqrt_hermitian(a) -> np.ndarray:
-    """Hermitian positive definite square root (same validation as the inverse)."""
-    return _spd_powers(a, (0.5,), DEFAULT_TOL)[0]
-
-
 def sqrt_pair_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """``(sqrt_hermitian(a), inverse_sqrt_hermitian(a))`` from one ``eigh``,
-    with the same validation."""
+    """The square root of ``a`` and :func:`inverse_sqrt_hermitian` of ``a``,
+    from one ``eigh``, with the same validation."""
     return _spd_powers(a, (0.5, -0.5), tol)
 
 
@@ -259,10 +238,6 @@ class Frame:
     @property
     def rank(self) -> int:
         return self.matrix.shape[1]
-
-    def conj(self) -> "Frame":
-        """Frame spanning the entrywise-conjugate subspace."""
-        return Frame(self.matrix.conj())
 
     def __repr__(self) -> str:
         return f"Frame(ambient_dim={self.ambient_dim}, rank={self.rank})"

@@ -138,7 +138,16 @@ def find_chart(w, split: EigenSplit) -> FindChartResult:
 
 def _swap_blocks(S1: ChartIndex, S2: ChartIndex, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Paired blocks of the chart change: a keeps the slots whose pairing
-    agrees between the centers, b swaps the others."""
+    agrees between the centers, b swaps the others.
+
+    Raises
+    ------
+    DimensionMismatch
+        If either chart names an index above ``n``.
+    """
+    for S in (S1, S2):
+        if S.indices and S.indices[-1] > n:
+            raise DimensionMismatch(f"chart index {S.indices[-1]} exceeds n={n}")
     same = np.array([1.0 if ((j in S1) == (j in S2)) else 0.0 for j in range(1, n + 1)])
     return np.diag(same), np.diag(1.0 - same)
 
@@ -150,6 +159,8 @@ def transition(S1: ChartIndex, S2: ChartIndex, Z1: OrthoGraphOperator) -> OrthoG
 
     Raises
     ------
+    DimensionMismatch
+        If either chart names an index above ``Z1.n``.
     OutsideChart
         If the point lies outside the target chart (singular
         denominator); always the case when |S1| and |S2| have different

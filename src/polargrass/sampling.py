@@ -78,11 +78,11 @@ def random_invertible(n: int, rng: np.random.Generator) -> np.ndarray:
     return _expm(0.4 * rng.standard_normal((n, n)))
 
 
-def random_contraction(n: int, rng: np.random.Generator, margin: float = 0.15) -> np.ndarray:
-    """Random complex symmetric matrix with operator norm below 1 - margin."""
+def random_contraction(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random complex symmetric matrix with operator norm below 0.85."""
     S = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     S = 0.5 * (S + S.T)
-    radius = (1.0 - margin) * rng.uniform(0.2, 1.0)
+    radius = 0.85 * rng.uniform(0.2, 1.0)
     return radius * S / max(1.0, op_norm(S) / 0.999)
 
 

@@ -73,9 +73,6 @@ class BilinearForm:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def pair(self, v, w) -> float:
-        return float(np.dot(np.asarray(v, dtype=float), self.matrix @ np.asarray(w, dtype=float)))
-
 
 @dataclass(frozen=True)
 class ComplexStructure:
@@ -306,34 +303,3 @@ def pullback_triple(u, t: CompatibleTriple) -> CompatibleTriple:
         BilinearForm("antisymmetric", 0.5 * (Om - Om.T)),
     )
 
-
-@dataclass(frozen=True)
-class MembershipReport:
-    invertible: bool
-    orthogonal: bool
-    symplectic: bool
-    unitary: bool
-    residuals: dict[str, float]
-
-
-def group_membership(u, t: CompatibleTriple) -> MembershipReport:
-    """Flags for u preserving g (orthogonal), omega (symplectic) or both
-    (unitary).  A singular u gets all flags false."""
-    u = as_real_matrix(u, square=True)
-    if u.shape[0] != t.dim:
-        raise DimensionMismatch(f"u has dim {u.shape[0]}, triple has {t.dim}")
-    svals = np.linalg.svd(u, compute_uv=False)
-    smax = float(svals.max())
-    invertible = clears(float(svals.min()), 1e-12, smax)
-    res_g = hs_norm(u.T @ t.G @ u - t.G)
-    res_om = hs_norm(u.T @ t.Omega @ u - t.Omega)
-    res_J = hs_norm(u @ t.Jmat - t.Jmat @ u)
-    orthogonal = invertible and within(res_g, DEFAULT_TOL.eq_tol, smax * smax)
-    symplectic = invertible and within(res_om, DEFAULT_TOL.eq_tol, smax * smax)
-    return MembershipReport(
-        invertible=invertible,
-        orthogonal=orthogonal,
-        symplectic=symplectic,
-        unitary=orthogonal and symplectic,
-        residuals={"orthogonal": res_g, "symplectic": res_om, "commutes_with_J": res_J},
-    )

@@ -358,6 +358,22 @@ class TestChartVerbs:
         assert result.exit_code == 2
         assert report_of(result)["error"] == "OutsideChart"
 
+    @pytest.mark.parametrize("index", [3, 10**30], ids=["n+1", "1e30"])
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_transition_rejects_a_chart_above_n(self, side, index):
+        # at n = 2 a chart is a subset of {1, 2}; an index above n named no
+        # slot and was ignored, so the point came back unchanged with a pass
+        payload = {
+            "Z": matrix_to_json(np.array([[0.0, 0.5], [-0.5, 0.0]])),
+            "source": [1, 2],
+            "target": [1, 2],
+        }
+        payload[side] = [1, index]
+        report, code = cli.run_verb("chart-transition", payload, cli.Options())
+        assert code == 2
+        assert report["error"] == "DimensionMismatch"
+        assert report["pass"] is False
+
 
     @pytest.mark.parametrize("atol", [0, -1e-9, float("inf"), float("nan"), True])
     def test_transition_atol_must_be_positive_and_finite(self, atol):

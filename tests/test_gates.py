@@ -54,7 +54,6 @@ from polargrass.triples import (
     complete_from_g_J,
     complete_from_g_omega,
     complete_from_J_omega,
-    group_membership,
     pullback_triple,
     standard_triple,
     verify_triple,
@@ -124,10 +123,10 @@ NAN_GATES = [
     ("Frame", _nan_at(linalg, "hs_norm"), lambda: Frame(np.eye(2)), RankMismatch),
     ("Frame.from_columns", (linalg.np.linalg, "qr", lambda a: (a, np.diag([1.0, NAN]))),
      lambda: Frame.from_columns(np.eye(2)), RankMismatch),
-    ("hermitian", _nan_at(linalg, "hs_norm"), lambda: linalg.sqrt_hermitian(np.eye(2)),
+    ("hermitian", _nan_at(linalg, "hs_norm"), lambda: linalg.sqrt_pair_hermitian(np.eye(2)),
      NonHermitian),
-    ("spd_powers", (linalg, "_hermitian_eigh", lambda a, tol: (np.full(2, NAN), np.eye(2))),
-     lambda: linalg.sqrt_hermitian(np.eye(2)), NotPositiveDefinite),
+    ("spd_powers", (linalg.np.linalg, "eigh", lambda a: (np.full(2, NAN), np.eye(2))),
+     lambda: linalg.sqrt_pair_hermitian(np.eye(2)), NotPositiveDefinite),
     ("form symmetry", _nan_at(linalg, "symmetry_deviation"),
      lambda: BilinearForm("symmetric", np.eye(2)), InvariantViolation),
     ("form degenerate", _nan_at(triples, "smallest_singular_value"),
@@ -163,8 +162,6 @@ NAN_GATES = [
      NotComplementary),
     ("positive positivity", (polarization.np.linalg, "eigvalsh", _nan_eigvals), _positive_pol,
      NotPositive),
-    ("realizable complement", _nan_at(polarization, "smallest_singular_value"),
-     lambda: triple_from_polarization(ORTHOGONAL_POL), NotRealizable),
     ("realizable real", _nan_at(polarization, "hs_norm"),
      lambda: triple_from_polarization(ORTHOGONAL_POL), NotRealizable),
     ("across_norm", _nan_at(polarization, "smallest_singular_value"),
@@ -209,12 +206,10 @@ def test_a_nan_residual_fails_its_gate_by_name(monkeypatch, patch, call, error):
         (_nan_at(triples, "hs_norm", 4), lambda: verify_triple(T2.g, T2.J, T2.omega).compatible),
         (_nan_at(triples, "min_eig_hermitian"),
          lambda: verify_triple(T2.g, T2.J, T2.omega).positive),
-        (_nan_at(triples, "hs_norm"), lambda: group_membership(np.eye(4), T2).orthogonal),
         (_nan_at(siegel, "min_eig_hermitian"),
          lambda: siegel.siegel_membership(np.zeros((2, 2))).member),
     ],
-    ids=["verify_triple identities", "verify_triple positivity", "group_membership",
-         "siegel_membership"],
+    ids=["verify_triple identities", "verify_triple positivity", "siegel_membership"],
 )
 def test_a_nan_residual_fails_the_report(monkeypatch, patch, verdict):
     monkeypatch.setattr(*patch)

@@ -202,6 +202,21 @@ class TestTransition:
         with pytest.raises(OutsideChart):
             transition(ChartIndex.of(()), ChartIndex.of((1, 2)), Z0)
 
+    @pytest.mark.parametrize("index", [4, 10**30], ids=["n+1", "1e30"])
+    def test_chart_above_n_rejected(self, rng, index):
+        # n = 3: every map through the chart-change blocks refuses the index
+        Z = OrthoGraphOperator(random_antisymmetric(3, rng))
+        W = random_antisymmetric(3, rng)
+        known, beyond = ChartIndex.of((1, 2)), ChartIndex.of((1, index))
+        for S1, S2 in ((known, beyond), (beyond, known)):
+            for call in (
+                lambda: transition(S1, S2, Z),
+                lambda: transition_derivative(S1, S2, Z, W),
+                lambda: holomorphy_check(S1, S2, Z, W),
+            ):
+                with pytest.raises(DimensionMismatch, match=f"chart index {index} exceeds n=3"):
+                    call()
+
 
 class TestDerivative:
     def test_matches_finite_differences(self, rng):

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from polargrass.errors import (
-    EigenspaceDimension,
     InvariantViolation,
     NotComplementary,
     NotPositive,
+    PolargrassError,
     RankMismatch,
 )
 from polargrass.fock import build_fock
-from polargrass.linalg import Frame, Tolerances, hs_norm
+from polargrass.linalg import Frame, Tolerances, hs_norm, smallest_singular_value
 from polargrass.polarization import (
     ComplexifiedSpace,
     EigenSplit,
@@ -17,12 +17,11 @@ from polargrass.polarization import (
     PositiveSymplecticPolarization,
     complexify,
     eigensplit,
-    hermitian_model,
     hs_projection_norm,
     standard_split,
     triple_from_polarization,
 )
-from polargrass.sampling import random_invertible, random_orthogonal
+from polargrass.sampling import _expm, random_invertible, random_orthogonal
 from polargrass.triples import BilinearForm, CompatibleTriple, pullback_triple, standard_triple
 
 
@@ -49,16 +48,16 @@ class TestComplexify:
         t, space, _ = standard4
         v = rng.standard_normal(4)
         w = rng.standard_normal(4)
-        assert space.g(v, w) == pytest.approx(v @ t.G @ w)
-        assert space.omega(v, w) == pytest.approx(v @ t.Omega @ w)
+        assert v @ space.G @ np.conj(w) == pytest.approx(v @ t.G @ w)
+        assert v @ space.Omega @ w == pytest.approx(v @ t.Omega @ w)
 
     def test_metric_structure_symplectic_identity(self, standard4, rng):
         # g(v, w) = omega(v, J alpha(w)) extended to complex vectors
         t, space, _ = standard4
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        lhs = space.g(v, w)
-        rhs = space.omega(v, t.Jmat @ np.conj(w))
+        lhs = v @ space.G @ np.conj(w)
+        rhs = v @ space.Omega @ (t.Jmat @ np.conj(w))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @pytest.mark.parametrize("defect, rejected", [(1e-8, True), (1e-10, False)])
@@ -117,8 +116,8 @@ class TestEigensplit:
     def test_coords_roundtrip(self, standard4, rng):
         _, _, split = standard4
         v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        cp, cm = split.coords(v)
-        assert hs_norm(split.from_coords(cp, cm) - v) < 1e-13
+        # paired coordinates of v and back
+        assert hs_norm(split.basis @ (split.dual @ v) - v) < 1e-13
 
     def test_pullback_split(self, rng):
         t = pullback_triple(random_invertible(8, rng), standard_triple(4))
@@ -126,34 +125,6 @@ class TestEigensplit:
         assert hs_norm(t.Jmat @ split.lplus - 1j * split.lplus) < 1e-9
         gram = complexify(t).gram(split.lplus)
         assert hs_norm(gram - np.eye(4)) < 1e-9
-
-    def test_odd_eigenspace_rejected(self, standard4):
-        # a structure on a different space than the triple's own J must
-        # still split half-and-half; passing J with wrong multiplicities
-        # is caught by the dimension check
-        t, space, _ = standard4
-        with pytest.raises(EigenspaceDimension):
-            eigensplit(space, J=np.diag([1.0, -1.0, 1.0, -1.0]) @ t.Jmat)
-
-
-class TestHermitianModel:
-    def test_carries_metric_to_dot_product(self, standard4, rng):
-        # <hm(v), hm(w)> = g(v, w) - i omega(v, w) on real vectors
-        t, space, split = standard4
-        v = rng.standard_normal(4)
-        w = rng.standard_normal(4)
-        hv = hermitian_model(t, v, split)
-        hw = hermitian_model(t, w, split)
-        inner = hv @ np.conj(hw)
-        assert inner == pytest.approx(v @ t.G @ w - 1j * (v @ t.Omega @ w), abs=1e-12)
-
-    def test_intertwines_structure(self, standard4, rng):
-        t, _, split = standard4
-        v = rng.standard_normal(4)
-        assert np.allclose(
-            hermitian_model(t, t.Jmat @ v, split),
-            1j * hermitian_model(t, v, split),
-        )
 
 
 class TestOrthogonalPolarization:
@@ -262,17 +233,17 @@ def test_eigensplit_diagonalizes_the_metric_once(monkeypatch):
     from polargrass import linalg
 
     calls = []
-    real_eigh = linalg._hermitian_eigh
+    real_powers = linalg._spd_powers
 
-    def counted(a, tol):
-        calls.append(a)
-        return real_eigh(a, tol)
+    def counted(a, powers, tol):
+        calls.append(powers)
+        return real_powers(a, powers, tol)
 
-    monkeypatch.setattr(linalg, "_hermitian_eigh", counted)
+    monkeypatch.setattr(linalg, "_spd_powers", counted)
     rng = np.random.default_rng(3)
     space = complexify(pullback_triple(random_invertible(4, rng), standard_triple(2)))
     split = eigensplit(space)
-    assert len(calls) == 1
+    assert calls == [(0.5, -0.5)]
     assert hs_norm(space.gram(split.lplus) - np.eye(2)) <= 1e-9
 
 
@@ -340,3 +311,42 @@ def test_array_holding_types_hash_by_identity():
         assert len({obj, obj}) == 1
     assert (complexify(t) == complexify(t)) is False
     assert (space == space) is True
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_construction_keeps_the_complement_pair_invertible(n):
+    # triple_from_polarization solves with B = [W, conj(W)] without a gate
+    # of its own; the construction gates keep sigma_min(B) above the floor
+    # 1e-10 max(1, max|B_ij|) = 1e-10 that it used to take (W has
+    # orthonormal columns).  Maps preserving the pulled-back g (orthogonal)
+    # or omega (symplectic) carry the triple's +i eigenspace to others.
+    rng = np.random.default_rng(900 + n)
+    omega0 = standard_triple(n).Omega
+    built = {OrthogonalPolarization: 0, PositiveSymplecticPolarization: 0}
+    for scale in (0.4, 2.0):
+        for _ in range(4):
+            u = _expm(scale * rng.standard_normal((2 * n, 2 * n)))
+            try:
+                space = complexify(pullback_triple(u, standard_triple(n)))
+                lplus = eigensplit(space).lplus
+            except PolargrassError:
+                continue
+            H = rng.standard_normal((2 * n, 2 * n))
+            symplectic = _expm(np.linalg.solve(omega0, scale * (H + H.T) / 2))
+            for cls, R in (
+                (OrthogonalPolarization, u @ random_orthogonal(2 * n, rng) @ np.linalg.inv(u)),
+                (PositiveSymplecticPolarization, u @ symplectic @ np.linalg.inv(u)),
+            ):
+                try:
+                    pol = cls(space, Frame.from_columns(R @ lplus))
+                except PolargrassError:
+                    continue
+                built[cls] += 1
+                W = pol.wplus.matrix
+                sigma = smallest_singular_value(np.hstack([W, np.conj(W)]))
+                assert sigma >= 1e-10
+                if cls is OrthogonalPolarization:
+                    # the bound the spanning residual gives
+                    span = pol.check()["spanning"]
+                    assert sigma >= (1 - span) / (2 * np.sqrt(np.linalg.cond(space.G)))
+    assert min(built.values()) >= 4

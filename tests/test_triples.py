@@ -21,7 +21,6 @@ from polargrass.triples import (
     complete_from_g_J,
     complete_from_g_omega,
     complete_from_J_omega,
-    group_membership,
     pullback_triple,
     standard_triple,
     verify_triple,
@@ -44,8 +43,8 @@ class TestStandardTriple:
         t = standard_triple(2)
         x1, y1 = np.eye(4)[0], np.eye(4)[1]
         # area form on each plane: omega(x_k, y_k) = 1 = -omega(y_k, x_k)
-        assert t.omega.pair(x1, y1) == 1.0
-        assert t.omega.pair(y1, x1) == -1.0
+        assert x1 @ t.Omega @ y1 == 1.0
+        assert y1 @ t.Omega @ x1 == -1.0
         # J rotates x_k to y_k
         assert np.array_equal(t.Jmat @ x1, y1)
         assert np.array_equal(t.Jmat @ y1, -x1)
@@ -187,34 +186,6 @@ class TestPullback:
     def test_singular_map_rejected(self):
         with pytest.raises(SingularTransform):
             pullback_triple(np.diag([1.0, 0.0, 1.0, 1.0]), standard_triple(2))
-
-
-class TestGroupMembership:
-    def test_rotation_is_in_every_group(self):
-        # plane rotations commute with J, preserve lengths and areas
-        t = standard_triple(1)
-        rep = group_membership(rotation2(0.4), t)
-        assert rep.orthogonal and rep.symplectic and rep.unitary
-
-    def test_shear_is_symplectic_only(self):
-        t = standard_triple(1)
-        rep = group_membership(np.array([[1.0, 1.0], [0.0, 1.0]]), t)
-        assert rep.symplectic
-        assert not rep.orthogonal
-        assert not rep.unitary
-
-    def test_scaling_is_neither(self):
-        t = standard_triple(1)
-        rep = group_membership(np.diag([2.0, 2.0]), t)
-        assert not rep.symplectic
-        assert not rep.orthogonal
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_map_is_in_no_group(self):
-        # its squared norm overflows: as a product it is an infinite scale,
-        # which the rule rejects, not Python's OverflowError
-        rep = group_membership(np.diag([1e160, 1.0, 1.0, 1.0]), standard_triple(2))
-        assert not (rep.invertible or rep.orthogonal or rep.symplectic or rep.unitary)
 
 
 class TestRelativeGates:
