@@ -128,7 +128,7 @@ class BosonModel:
         lplus = np.zeros((2 * N, N), dtype=np.complex128)
         for k in range(1, N + 1):
             lplus[:, k - 1] = B[:, mode_position(-k, N)] / np.sqrt(k)
-        self.split = EigenSplit(self.space, self.triple.Jmat.astype(np.complex128), lplus)
+        self.split = EigenSplit(self.space, lplus)
 
     def to_real(self, mode_op: np.ndarray) -> np.ndarray:
         """Conjugate a mode-basis operator into real coordinates."""
@@ -291,13 +291,14 @@ def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.
     computed with the K-point uniform (trapezoid) rule: column n is the
     FFT of the sampled power ``w^n`` (``w = exp(i phi)`` on the grid)
     divided by K and read at ``m mod K``.  The powers ``w^1..w^N`` are
-    formed by a cumulative product and transformed one block of rows at a
-    time, in a buffer of :data:`QUADRATURE_BYTES`; each block continues the
-    product from the last power of the one before, so the products are
-    those of one cumulative product over all N rows.  Since ``w`` lies
-    on the unit circle, ``w^-n = conj(w^n)`` and the negative columns are
-    read off the same spectra as ``C[m, -n] = conj(C[-m, n])``.  K defaults
-    to 16 N; a warning is emitted below 8 N where aliasing becomes a risk.
+    formed one row at a time, each the row before times ``w``, and
+    transformed one block of rows at a time, in a buffer of
+    :data:`QUADRATURE_BYTES`; each block continues from the last power of
+    the one before, so every block size gives the same products.  Since
+    ``w`` lies on the unit circle, ``w^-n = conj(w^n)`` and the negative
+    columns are read off the same spectra as ``C[m, -n] = conj(C[-m, n])``.
+    K defaults to 16 N; a warning is emitted below 8 N where aliasing
+    becomes a risk.
 
     Raises
     ------
@@ -329,14 +330,14 @@ def composition_operator(phi: CircleDiffeo, N: int, K: int | None = None) -> np.
     rows = np.array(mode_indices(N)) % K
     C = np.empty((2 * N, 2 * N), dtype=np.complex128)
     # column N + k - 1: coefficients (in mode order) of w^k, k = 1..N; row 0
-    # of the buffer carries the last power of the block before
+    # of the buffer carries the last power of the block before (w^0 = 1 at first)
     step = max(1, QUADRATURE_BYTES // (16 * K) - 1)
     block = np.empty((min(step, N) + 1, K), dtype=np.complex128)
+    block[0] = 1.0
     for start in range(0, N, step):
         n = min(step, N - start)
-        block[1 : n + 1] = w
-        run = block[: n + 1] if start else block[1 : n + 1]
-        np.cumprod(run, axis=0, out=run)
+        for r in range(1, n + 1):
+            np.multiply(block[r - 1], w, out=block[r])
         C[:, N + start : N + start + n] = np.fft.fft(block[1 : n + 1], axis=1)[:, rows].T
         block[0] = block[n]
     positive = C[:, N:]

@@ -8,30 +8,29 @@ operation, and emits one JSON report with the shape
 
 to ``--output`` (or stdout).  Exit codes: 0 when the check passes, 2 on
 a failed check or a domain error (the error name lands in the report),
-1 on I/O or parse problems.  ``report-suite`` runs a list of named
-scenarios from a config file and aggregates them, in declared order,
-into a ``suite.v1`` object; with a fixed seed the aggregate is
-byte-identical across runs.
+1 on I/O or parse problems, and 2 on a usage error.  ``report-suite``
+runs a list of named scenarios from a config file and aggregates them,
+in declared order, into a ``suite.v1`` object; with a fixed seed the
+aggregate is byte-identical across runs.
+
+A cold ``polargrass VERB`` pays only for what the verb runs: each handler
+imports the modules it needs in its own body, and :func:`run` ends the
+process once the report is flushed, without interpreter teardown.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import os
+import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
-import click
 import numpy as np
 
 from . import serialize as se
-from .circle import (
-    GRUNSKY_SYMMETRY_TOL,
-    diffeo_from_spec,
-    fermion_polarization,
-    grunsky,
-    torus_period,
-)
 from .errors import DomainError, FormatError
-from .fock import basis_residuals, build_fock, check_modes, vacuum_cyclicity_rank
 from .linalg import (
     DEFAULT_TOL,
     Frame,
@@ -40,23 +39,6 @@ from .linalg import (
     hs_norm,
     principal_angle_distance,
     within,
-)
-from .orthograss import OrthoGraphOperator, chart_graph_columns, find_chart, transition
-from .polarization import OrthogonalPolarization, complexify, eigensplit, standard_split
-from .sampling import generate_input
-from .siegel import (
-    CONTRACTION_MARGIN,
-    BlockSymplectic,
-    UpperHalfPoint,
-    halfspace_membership,
-    mobius_act,
-    siegel_membership,
-)
-from .triples import (
-    complete_from_g_J,
-    complete_from_g_omega,
-    complete_from_J_omega,
-    verify_triple,
 )
 
 REPORT_SCHEMA = "report.v1"
@@ -122,6 +104,8 @@ def _triple_members(obj, present):
 
 def _verb_triple_verify(obj, opts: Options) -> dict:
     """Check the three compatibility identities of (g, J, omega)."""
+    from .triples import verify_triple
+
     m = _triple_members(obj, ("g", "J", "omega"))
     report = verify_triple(m["g"], m["J"], m["omega"], opts.tol)
     return {
@@ -134,6 +118,8 @@ def _verb_triple_verify(obj, opts: Options) -> dict:
 
 def _verb_triple_complete(obj, opts: Options) -> dict:
     """Complete two of g/J/omega to a full compatible triple."""
+    from .triples import complete_from_g_J, complete_from_g_omega, complete_from_J_omega
+
     if not isinstance(obj, dict):
         raise FormatError("expected a JSON object")
     present = tuple(k for k in ("g", "J", "omega") if k in obj)
@@ -159,6 +145,8 @@ def _verb_triple_complete(obj, opts: Options) -> dict:
 
 def _verb_polarize(obj, opts: Options) -> dict:
     """Split the complexification of a triple along the J eigenspaces."""
+    from .polarization import complexify, eigensplit
+
     t = se.triple_from_json(obj)
     space = complexify(t)
     split = eigensplit(space, tol=opts.tol)
@@ -178,6 +166,8 @@ def _verb_polarize(obj, opts: Options) -> dict:
 
 def _verb_siegel_member(obj, opts: Options) -> dict:
     """Membership report for a disk or half-space point."""
+    from .siegel import halfspace_membership, siegel_membership
+
     mat = se.matrix_from_json(obj, extra=("model",))
     model = obj.get("model")
     if model == "disk":
@@ -199,6 +189,8 @@ def _verb_siegel_member(obj, opts: Options) -> dict:
 
 def _verb_siegel_act(obj, opts: Options) -> dict:
     """Move a disk point by a block symplectic element."""
+    from .siegel import BlockSymplectic, UpperHalfPoint, mobius_act
+
     se._check_keys(obj, ("a", "b", "Z"))
     a = se.matrix_from_json(obj["a"])
     b = se.matrix_from_json(obj["b"])
@@ -221,6 +213,9 @@ def _verb_siegel_act(obj, opts: Options) -> dict:
 
 def _verb_grunsky(obj, opts: Options) -> dict:
     """Siegel point of a circle diffeomorphism at a Fourier cutoff."""
+    from .circle import GRUNSKY_SYMMETRY_TOL, diffeo_from_spec, grunsky
+    from .siegel import CONTRACTION_MARGIN
+
     se._check_keys(obj, ("diffeo",), ("cutoff", "quadrature"))
     N = _int_option(obj, opts, "cutoff", 32, 1)
     K = _int_option(obj, opts, "quadrature", 16 * N, 1)
@@ -244,6 +239,9 @@ def _verb_grunsky(obj, opts: Options) -> dict:
 
 def _verb_chart_find(obj, opts: Options) -> dict:
     """Locate a chart of the orthogonal Grassmannian containing a frame."""
+    from .orthograss import chart_graph_columns, find_chart
+    from .polarization import standard_split
+
     se._check_keys(obj, ("frame",))
     w = se.frame_from_json(obj["frame"])
     if w.ambient_dim != 2 * w.rank:
@@ -272,6 +270,8 @@ def _verb_chart_find(obj, opts: Options) -> dict:
 
 def _verb_chart_transition(obj, opts: Options) -> dict:
     """Change chart coordinates of a graph operator."""
+    from .orthograss import OrthoGraphOperator, transition
+
     se._check_keys(obj, ("Z", "source", "target"), ("atol",))
     atol = obj.get("atol", 1e-10)
     if not isinstance(atol, (int, float)) or isinstance(atol, bool) or not 0 < atol <= MAX_CHART_ATOL:
@@ -295,6 +295,10 @@ def _verb_chart_transition(obj, opts: Options) -> dict:
 
 def _verb_fock_car(obj, opts: Options) -> dict:
     """Build a Fock representation and verify the anticommutation relations."""
+    from .circle import fermion_polarization
+    from .fock import basis_residuals, build_fock, check_modes, vacuum_cyclicity_rank
+    from .polarization import OrthogonalPolarization, complexify
+
     if isinstance(obj, dict) and "model" in obj:
         se._check_keys(obj, ("model",), ("cutoff",))
         if obj["model"] != "fermion":
@@ -332,6 +336,8 @@ def _verb_fock_car(obj, opts: Options) -> dict:
 
 def _verb_torus_period(obj, opts: Options) -> dict:
     """Period point of the lattice (1, tau) with residuals."""
+    from .circle import torus_period
+
     se._check_keys(obj, ("tau",))
     tau = se._entry(obj["tau"])
     rep = torus_period(tau)
@@ -417,6 +423,8 @@ def run_suite(config: dict, seed_override: int | None = None) -> tuple[dict, int
     A scenario with ``expect_error`` counts as passed exactly when the
     named error occurs.
     """
+    from .sampling import generate_input
+
     se._check_keys(config, ("scenarios",), ("seed", "schema"))
     scenarios = config["scenarios"]
     if not isinstance(scenarios, list):
@@ -490,7 +498,7 @@ def run_suite(config: dict, seed_override: int | None = None) -> tuple[dict, int
 
 
 # ---------------------------------------------------------------------------
-# click wiring
+# command line
 
 
 def _write_out(payload: dict, output_path: str | None, summary: str) -> None:
@@ -498,73 +506,26 @@ def _write_out(payload: dict, output_path: str | None, summary: str) -> None:
     if output_path:
         with open(output_path, "w", encoding="ascii") as fh:
             fh.write(text)
-        click.echo(summary)
+        sys.stdout.write(summary + "\n")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
-def main() -> None:
-    """Numerics for compatible triples, polarizations and Siegel disks."""
+def _verb_command(verb: str, input_path: str, output_path: str | None, opts: Options) -> int:
+    try:
+        obj = se.load_json(input_path)
+    except FormatError as exc:
+        _write_out(_error_report(verb, exc), output_path, f"{verb}: error")
+        return 1
+    report, code = run_verb(verb, obj, opts)
+    report.setdefault("inputs", {})
+    report["inputs"]["path"] = str(input_path)
+    verdict = "pass" if code == 0 else report.get("error", "fail")
+    _write_out(report, output_path, f"{verb}: {verdict}")
+    return code
 
 
-def _verb_command(verb: str) -> click.Command:
-    @click.pass_context
-    def _run(ctx, input_path, output_path, tol_eq, tol_spd, cutoff=None, quadrature=None):
-        try:
-            obj = se.load_json(input_path)
-        except FormatError as exc:
-            _write_out(_error_report(verb, exc), output_path, f"{verb}: error")
-            ctx.exit(1)
-        opts = _make_options(tol_eq, tol_spd, cutoff=cutoff, quadrature=quadrature)
-        report, code = run_verb(verb, obj, opts)
-        report.setdefault("inputs", {})
-        report["inputs"]["path"] = str(input_path)
-        verdict = "pass" if code == 0 else report.get("error", "fail")
-        _write_out(report, output_path, f"{verb}: {verdict}")
-        ctx.exit(code)
-
-    params = [
-        click.Option(
-            ["--input", "input_path"],
-            required=True,
-            type=click.Path(exists=False),
-            help="input JSON object",
-        ),
-        click.Option(
-            ["--output", "output_path"],
-            type=click.Path(),
-            default=None,
-            help="report destination (default: stdout)",
-        ),
-        click.Option(["--tol-eq", "tol_eq"], type=float, default=None),
-        click.Option(["--tol-spd", "tol_spd"], type=float, default=None),
-    ]
-    if verb in ("grunsky", "fock-car"):
-        params.append(click.Option(["--cutoff", "cutoff"], type=int, default=None))
-    if verb == "grunsky":
-        params.append(
-            click.Option(["--quadrature", "quadrature"], type=int, default=None)
-        )
-    return click.Command(verb, params=params, callback=_run, help=_HANDLERS[verb].__doc__)
-
-
-for _verb in _HANDLERS:
-    main.add_command(_verb_command(_verb))
-
-
-@main.command("report-suite")
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--output", "output_path", type=click.Path(), default=None)
-@click.option(
-    "--seed",
-    type=int,
-    default=None,
-    envvar="POLARGRASS_SEED",
-    help="overrides the config seed (env: POLARGRASS_SEED)",
-)
-@click.pass_context
-def cmd_report_suite(ctx, input_path, output_path, seed):
+def _report_suite(input_path: str, output_path: str | None, seed: int | None) -> int:
     """Run a scenario suite config and aggregate the reports."""
     try:
         config = se.load_json(input_path)
@@ -583,7 +544,7 @@ def cmd_report_suite(ctx, input_path, output_path, seed):
             output_path,
             "report-suite: error",
         )
-        ctx.exit(1)
+        return 1
     c = aggregate["counts"]
     summary = (
         f"report-suite: {'pass' if aggregate['pass'] else 'FAIL'} "
@@ -591,8 +552,74 @@ def cmd_report_suite(ctx, input_path, output_path, seed):
         f"{c['failed']} failed)"
     )
     _write_out(aggregate, output_path, summary)
-    ctx.exit(code)
+    return code
+
+
+def _parser(prog_name: str | None = None) -> argparse.ArgumentParser:
+    """The verbs and their options; ``POLARGRASS_SEED`` is read here, at parse time."""
+    parser = argparse.ArgumentParser(
+        prog=prog_name or "polargrass", description=main.__doc__, allow_abbrev=False
+    )
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+    for verb, handler in (*_HANDLERS.items(), ("report-suite", _report_suite)):
+        sub = verbs.add_parser(
+            verb, help=handler.__doc__, description=handler.__doc__, allow_abbrev=False
+        )
+        sub.add_argument("--input", dest="input_path", metavar="PATH", required=True,
+                         help="input JSON object")
+        sub.add_argument("--output", dest="output_path", metavar="PATH",
+                         help="report destination (default: stdout)")
+        if verb == "report-suite":
+            sub.add_argument(
+                "--seed",
+                type=int,
+                default=os.environ.get("POLARGRASS_SEED"),
+                help="overrides the config seed (env: POLARGRASS_SEED)",
+            )
+            continue
+        sub.add_argument("--tol-eq", type=float)
+        sub.add_argument("--tol-spd", type=float)
+        if verb in ("grunsky", "fock-car"):
+            sub.add_argument("--cutoff", type=int)
+        if verb == "grunsky":
+            sub.add_argument("--quadrature", type=int)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+    """Numerics for compatible triples, polarizations and Siegel disks."""
+    ns = _parser(prog_name).parse_args(args)
+    if ns.verb == "report-suite":
+        code = _report_suite(ns.input_path, ns.output_path, ns.seed)
+    else:
+        opts = _make_options(
+            ns.tol_eq,
+            ns.tol_spd,
+            cutoff=getattr(ns, "cutoff", None),
+            quadrature=getattr(ns, "quadrature", None),
+        )
+        code = _verb_command(ns.verb, ns.input_path, ns.output_path, opts)
+    raise SystemExit(code)
+
+
+def run() -> NoReturn:
+    """The ``polargrass`` command: run :func:`main`, flush stdout and
+    stderr, and end the process with ``os._exit``, skipping interpreter
+    teardown.  A write or flush that fails (stdout a closed pipe) exits 1
+    without a traceback."""
+    try:
+        main()
+    except SystemExit as exc:
+        code = exc.code
+    except BrokenPipeError:
+        code = 1
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        code = 1
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    main()
+    run()

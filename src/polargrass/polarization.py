@@ -121,15 +121,13 @@ class EigenSplit:
     """
 
     space: ComplexifiedSpace
-    J: np.ndarray
     lplus: np.ndarray
     eigenvector_residual: float = field(init=False, compare=False, repr=False)
     gram_residual: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        J = freeze(np.asarray(self.J, dtype=np.complex128))
+        J = self.space.triple.Jmat
         L = freeze(np.asarray(self.lplus, dtype=np.complex128))
-        object.__setattr__(self, "J", J)
         object.__setattr__(self, "lplus", L)
         eig = check_within(hs_norm(J @ L - 1j * L), 1e-9, hs_norm(J), EigenspaceDimension,
                            "columns not in the +i eigenspace")
@@ -185,7 +183,7 @@ def eigensplit(space: ComplexifiedSpace, tol: Tolerances = DEFAULT_TOL) -> Eigen
             f"+i eigenspace has dimension {int(pos.sum())}, expected {space.dim // 2}"
         )
     lplus = Kinv @ eigvecs[:, pos]
-    return EigenSplit(space, J, lplus)
+    return EigenSplit(space, lplus)
 
 
 @lru_cache(maxsize=8)

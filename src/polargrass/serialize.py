@@ -26,14 +26,17 @@ import functools
 import json
 import math
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError
 from .linalg import Frame
-from .orthograss import ChartIndex
 from .siegel import SiegelPoint, UpperHalfPoint
 from .triples import BilinearForm, CompatibleTriple, ComplexStructure
+
+if TYPE_CHECKING:
+    from .orthograss import ChartIndex
 
 __all__ = [
     "dumps_canonical",
@@ -484,4 +487,6 @@ def chart_index_from_json(obj) -> ChartIndex:
         isinstance(k, int) and not isinstance(k, bool) for k in obj
     ):
         raise FormatError(f"chart index must be a list of integers, got {obj!r}")
+    from .orthograss import ChartIndex  # loaded by the chart verbs only
+
     return ChartIndex.of(obj)

@@ -11,7 +11,6 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from polargrass.circle import (
     BosonModel,
@@ -69,6 +68,8 @@ from polargrass.triples import (
     standard_triple,
     verify_triple,
 )
+
+from conftest import CliRunner
 
 _SPLITS = {}
 

@@ -1,6 +1,9 @@
 """Command-line surface: verbs, exit codes, reports, suite aggregation."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -8,9 +11,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from polargrass import cli, polarization
+from polargrass import circle, cli, polarization
 from polargrass.circle import CircleDiffeo
 from polargrass.cli import main
 from polargrass.fock import MAX_MODES
@@ -30,6 +32,8 @@ from polargrass.serialize import (
 )
 from polargrass.siegel import SiegelPoint
 from polargrass.triples import BilinearForm, standard_triple, verify_triple
+
+from conftest import CliRunner
 
 
 def schema(name):
@@ -257,7 +261,7 @@ class TestCircleVerbs:
             raise AssertionError("the quadrature grid was built before the guard")
 
         refused = CircleDiffeo(kind="rotation", params={}, phi=boundary, boundary=boundary)
-        monkeypatch.setattr(cli, "diffeo_from_spec", lambda spec: refused)
+        monkeypatch.setattr(circle, "diffeo_from_spec", lambda spec: refused)
         payload = {"diffeo": {"kind": "rotation", "delta": 0.3}, **payload}
         result = invoke(runner, tmp_path, "grunsky", payload, *flags)
         assert result.exit_code == 2
@@ -459,7 +463,7 @@ class TestFockVerb:
         def refuse(N):
             raise AssertionError(f"fermion_polarization({N}) built before the guard")
 
-        monkeypatch.setattr(cli, "fermion_polarization", refuse)
+        monkeypatch.setattr(circle, "fermion_polarization", refuse)
         result = invoke(runner, tmp_path, "fock-car", payload, *flags)
         assert result.exit_code == 2
         assert report_of(result)["error"] == "DimensionGuard"
@@ -627,3 +631,127 @@ def test_no_verb_loads_scipy():
     assert out["codes"] == [0, 0, 0] and out["modes"] == 10
     assert out["scipy"] == []
     assert out["numpy_random"] is False
+
+
+COLD_IMPORT_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+import polargrass.cli as cli
+loaded = {m.split(".")[0] for m in set(sys.modules) - before}
+foreign = sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "polargrass"})
+watched = ("polargrass.orthograss", "polargrass.circle", "polargrass.fock", "polargrass.sampling")
+imported = [m for m in watched if m in sys.modules]
+report, code = cli.run_verb("torus-period", {"tau": [0.5, 0.5]}, cli.Options())
+print(json.dumps({"foreign": foreign, "imported": imported, "code": code,
+                  "torus": [m for m in watched if m in sys.modules]}))
+"""
+
+
+def test_a_cold_verb_loads_only_what_it_runs():
+    # a fresh interpreter: the CLI module loads no package beyond the standard
+    # library and numpy, and none of the verbs' own modules; torus-period then
+    # loads the circle models but no Fock space or chart atlas
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT_SCRIPT], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["foreign"] == [] and out["imported"] == []
+    assert out["code"] == 0 and out["torus"] == ["polargrass.circle"]
+
+
+def cold(args, env=None, **kwargs):
+    """``python -m polargrass.cli ARGS`` in a fresh process."""
+    return subprocess.run(
+        [sys.executable, "-m", "polargrass.cli", *args],
+        env={**os.environ, **(env or {})},
+        timeout=120,
+        **kwargs,
+    )
+
+
+def warm(args):
+    """``main(ARGS)`` in this process: (exit code, stdout bytes)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exit_:
+            main(args)
+    return exit_.value.code, out.getvalue().encode()
+
+
+class TestColdProcess:
+    """A real ``python -m polargrass.cli`` writes the bytes and exits with the
+    code that ``main`` gives in-process."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help is wrapped alike in both
+        inputs = {
+            "upper": {"tau": [0.5, 0.5]},
+            "lower": {"tau": [0.5, -0.5]},
+            "modelless": matrix_to_json(np.eye(1) * 0.1),
+        }
+        paths = {"absent": str(tmp_path / "absent.json"), "out": str(tmp_path / "report.json")}
+        for name, payload in inputs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            save_json(payload, paths[name])
+        return paths
+
+    CASES = {
+        "pass": (["torus-period", "--input", "{upper}"], 0),
+        "failed-check": (["torus-period", "--input", "{lower}"], 2),
+        "format-error": (["siegel-member", "--input", "{modelless}"], 1),
+        "missing-file": (["torus-period", "--input", "{absent}"], 1),
+        "no-input": (["torus-period"], 2),
+        "unknown-verb": (["torus-periods", "--input", "{upper}"], 2),
+        "bad-tol-eq": (["torus-period", "--input", "{upper}", "--tol-eq", "abc"], 2),
+        "help": (["--help"], 0),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_stdout_and_exit_code_match_main(self, paths, case):
+        template, code = self.CASES[case]
+        args = [arg.format(**paths) for arg in template]
+        proc = cold(args, capture_output=True)
+        assert (proc.returncode, proc.stdout) == warm(args)
+        assert proc.returncode == code
+        if code == 2 and case != "failed-check":
+            assert proc.stdout == b"" and b"usage: polargrass" in proc.stderr
+
+    def test_output_file_is_complete_before_the_exit(self, paths):
+        args = ["torus-period", "--input", paths["upper"], "--output", paths["out"]]
+        proc = cold(args, capture_output=True)
+        assert (proc.returncode, proc.stdout) == (0, b"torus-period: pass\n")
+        with open(paths["out"], "rb") as fh:
+            written = fh.read()
+        assert warm(args) == (0, b"torus-period: pass\n")
+        with open(paths["out"], "rb") as fh:
+            assert fh.read() == written
+        assert json.loads(written)["pass"] is True
+
+    def test_seed_from_the_environment_matches_the_flag(self):
+        args = ["report-suite", "--input", SHIPPED_SUITE]
+        proc = cold(args, env={"POLARGRASS_SEED": "99"}, capture_output=True)
+        assert (proc.returncode, proc.stdout) == warm([*args, "--seed", "99"])
+        assert proc.returncode == 0 and json.loads(proc.stdout)["seed"] == 99
+
+    @pytest.mark.parametrize(
+        "verb, payload",
+        [
+            ("torus-period", {"tau": [0.5, 0.5]}),
+            # a report larger than the stdout buffer fails at the write, not the flush
+            ("grunsky", {"diffeo": {"kind": "rotation", "delta": 0.3}, "cutoff": 32}),
+        ],
+        ids=["flush", "write"],
+    )
+    def test_a_closed_stdout_exits_non_zero_without_a_traceback(self, tmp_path, verb, payload):
+        path = tmp_path / "input.json"
+        save_json(payload, path)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = cold([verb, "--input", str(path)], stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0
+        assert b"Traceback" not in proc.stderr

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from polargrass import cli, fock
+from polargrass import fock
 from polargrass.circle import fermion_polarization
 from polargrass.cli import CAR_TOL, Options, run_verb
 from polargrass.errors import DimensionGuard, DimensionMismatch, InvariantViolation
@@ -503,7 +503,7 @@ class TestBasisResiduals:
         tampered = tampered_reps()[name]
         with pytest.raises(InvariantViolation):
             basis_residuals(tampered)
-        monkeypatch.setattr(cli, "build_fock", lambda pol: tampered)
+        monkeypatch.setattr(fock, "build_fock", lambda pol: tampered)
         report, code = run_verb("fock-car", {"model": "fermion", "cutoff": 3}, Options())
         assert code == 2 and report["pass"] is False
 

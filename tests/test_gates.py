@@ -1,12 +1,13 @@
 """Every gate fails a NaN residual by name, and verbs report what gates computed."""
 
+import argparse
 import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from polargrass import circle, cli, linalg, orthograss, polarization, siegel, triples
+from polargrass import circle, cli, fock, linalg, orthograss, polarization, siegel, triples
 from polargrass.circle import CircleDiffeo, composition_operator
 from polargrass.errors import (
     BoundaryContact,
@@ -148,11 +149,11 @@ NAN_GATES = [
      InvariantViolation),
     # a NaN column: built without error before the gate was routed
     ("EigenSplit eigenvector", None,
-     lambda: EigenSplit(SPACE2, T2.Jmat, np.where([[True, False]] * 4, SPLIT2.lplus, NAN)),
+     lambda: EigenSplit(SPACE2, np.where([[True, False]] * 4, SPLIT2.lplus, NAN)),
      EigenspaceDimension),
     # the eigenvector gate takes hs_norm twice (residual and ||J||)
     ("EigenSplit gram", _nan_at(polarization, "hs_norm", 3),
-     lambda: EigenSplit(SPACE2, T2.Jmat, SPLIT2.lplus), InvariantViolation),
+     lambda: EigenSplit(SPACE2, SPLIT2.lplus), InvariantViolation),
     ("eigensplit eigenvalues", _nan_at(polarization, "hs_norm"), lambda: eigensplit(SPACE2),
      EigenspaceDimension),
     ("isotropy", _nan_at(polarization, "hs_norm"), _orthogonal_pol, InvariantViolation),
@@ -222,7 +223,7 @@ def test_a_nan_residual_fails_the_report(monkeypatch, patch, verdict):
         ((cli, "principal_angle_distance", lambda a, b: NAN), "chart-find",
          {"frame": generate_input({"make": "orthogonal_subspace", "n": 2},
                                   np.random.default_rng(0))["frame"]}),
-        ((cli, "basis_residuals", lambda rep: (NAN, 0.0)), "fock-car",
+        ((fock, "basis_residuals", lambda rep: (NAN, 0.0)), "fock-car",
          {"model": "fermion", "cutoff": 1}),
         ((circle.TorusPeriodReport, "residuals", property(lambda self: {"a_period": NAN})),
          "torus-period", {"tau": [0.0, 1.0]}),
@@ -262,8 +263,9 @@ class TestVerbsReadTheirGates:
         assert split.gram_residual == hs_norm(space.gram(L) - np.eye(4))
 
     def test_every_handler_takes_options_and_gives_its_help(self):
+        verbs = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
         for verb, handler in cli._HANDLERS.items():
-            assert handler.__doc__ and cli.main.commands[verb].help == handler.__doc__
+            assert handler.__doc__ and verbs.choices[verb].description == handler.__doc__
 
     @pytest.mark.parametrize(
         "field, value, verdict",
@@ -278,13 +280,15 @@ class TestVerbsReadTheirGates:
     )
     def test_grunsky_verdict_follows_its_residuals(self, monkeypatch, field, value, verdict):
         # the point's stored residual is moved to either side of its gate
+        real = circle.grunsky
+
         def moved(*args):
-            p = circle.grunsky(*args)
+            p = real(*args)
             budget = circle.GRUNSKY_SYMMETRY_TOL * max(1.0, hs_norm(p.Z))
             object.__setattr__(p, field, value(budget, siegel.CONTRACTION_MARGIN))
             return p
 
-        monkeypatch.setattr(cli, "grunsky", moved)
+        monkeypatch.setattr(circle, "grunsky", moved)
         obj = {"diffeo": {"kind": "fourier_flow", "coeffs": [[2, 0.15]]}, "cutoff": 16}
         report, code = cli.run_verb("grunsky", obj, cli.Options())
         assert report["pass"] is verdict and code == (0 if verdict else 2)

@@ -222,7 +222,7 @@ class TestHsProjection:
 def test_eigensplit_stores_a_read_only_copy_of_the_callers_frame():
     space = complexify(standard_triple(2))
     lplus = np.array(eigensplit(space).lplus)
-    split = EigenSplit(space, space.triple.Jmat, lplus)
+    split = EigenSplit(space, lplus)
     assert lplus.flags.writeable
     assert not split.lplus.flags.writeable
     assert not np.shares_memory(lplus, split.lplus)
@@ -277,8 +277,8 @@ def test_standard_split_is_shared_per_rank():
 def test_standard_split_is_read_only():
     split = standard_split(2)
     t = split.space.triple
-    arrays = [split.lplus, split.J, split.basis, split.dual, split.space.G, split.space.Omega,
-              t.G, t.Jmat, t.Omega]
+    arrays = [split.lplus, split.space.triple.Jmat, split.basis, split.dual, split.space.G,
+              split.space.Omega, t.G, t.Jmat, t.Omega]
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
