@@ -41,7 +41,7 @@ from .polarization import (
 )
 from .serialize import _check_keys, _entry
 from .siegel import SiegelPoint, UpperHalfPoint, mobius
-from .triples import BilinearForm, CompatibleTriple, ComplexStructure
+from .triples import CompatibleTriple, planar_triple
 
 #: Relative sigma_min floor for the diagonal block ``a`` of a composition operator.
 _BLOCK_RCOND = 1e-8
@@ -73,22 +73,7 @@ def boson_triple(N: int) -> CompatibleTriple:
     """
     if N < 1:
         raise DimensionMismatch("N must be at least 1")
-    dim = 2 * N
-    G = np.zeros((dim, dim))
-    J = np.zeros((dim, dim))
-    Om = np.zeros((dim, dim))
-    for k in range(1, N + 1):
-        x, y = 2 * (k - 1), 2 * (k - 1) + 1
-        G[x, x] = G[y, y] = 0.5 * k
-        J[x, y] = -1.0
-        J[y, x] = 1.0
-        Om[x, y] = 0.5 * k
-        Om[y, x] = -0.5 * k
-    return CompatibleTriple(
-        BilinearForm("symmetric", G),
-        ComplexStructure(J),
-        BilinearForm("antisymmetric", Om),
-    )
+    return planar_triple(0.5 * np.arange(1, N + 1))
 
 
 def mode_indices(N: int) -> list[int]:
@@ -151,17 +136,15 @@ class BosonModel:
 
 @dataclass(frozen=True)
 class CircleDiffeo:
-    """An orientation-preserving diffeomorphism of the circle.
+    """An orientation-preserving diffeomorphism ``t -> phi(t)`` of the circle.
 
-    ``phi`` returns angle values with ``phi(t + 2 pi) = phi(t) + 2 pi``
-    up to a multiple of 2 pi per branch choice; ``boundary`` returns
-    ``exp(i phi(t))`` and is the quantity quadratures consume (exact for
-    Mobius maps, avoiding branch cuts entirely).
+    ``boundary`` returns ``exp(i phi(t))``, the quantity quadratures
+    consume; it needs no branch of the angle ``phi`` (exact for Mobius
+    maps, avoiding branch cuts entirely).
     """
 
     kind: str
     params: dict
-    phi: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     boundary: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
 
     def check_increasing(self) -> None:
@@ -185,7 +168,6 @@ def rotation_diffeo(delta: float) -> CircleDiffeo:
     return CircleDiffeo(
         kind="rotation",
         params={"delta": delta},
-        phi=lambda t: np.asarray(t) + delta,
         boundary=lambda t: np.exp(1j * (np.asarray(t) + delta)),
     )
 
@@ -200,11 +182,7 @@ def mobius_diffeo(a: complex) -> CircleDiffeo:
         z = np.exp(1j * np.asarray(t, dtype=float))
         return (z - a) / (1.0 - np.conj(a) * z)
 
-    def phi(t):
-        t = np.asarray(t, dtype=float)
-        return np.angle(boundary(t))
-
-    return CircleDiffeo(kind="mobius", params={"a": a}, phi=phi, boundary=boundary)
+    return CircleDiffeo(kind="mobius", params={"a": a}, boundary=boundary)
 
 
 def fourier_flow_diffeo(coeffs: Sequence[tuple[int, float]]) -> CircleDiffeo:
@@ -223,7 +201,6 @@ def fourier_flow_diffeo(coeffs: Sequence[tuple[int, float]]) -> CircleDiffeo:
     diffeo = CircleDiffeo(
         kind="fourier_flow",
         params={"coeffs": coeffs},
-        phi=phi,
         boundary=lambda t: np.exp(1j * phi(t)),
     )
     diffeo.check_increasing()
@@ -233,9 +210,6 @@ def fourier_flow_diffeo(coeffs: Sequence[tuple[int, float]]) -> CircleDiffeo:
 def compose_diffeos(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
     """The diffeomorphism ``t -> outer(inner(t))``."""
 
-    def phi(t):
-        return outer.phi(inner.phi(np.asarray(t, dtype=float)))
-
     def boundary(t):
         # outer's boundary value is 2 pi periodic in its angle argument,
         # so any branch of inner's angle works pointwise.
@@ -244,7 +218,6 @@ def compose_diffeos(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
     return CircleDiffeo(
         kind="compose",
         params={"outer": outer.kind, "inner": inner.kind},
-        phi=phi,
         boundary=boundary,
     )
 
@@ -430,20 +403,7 @@ def fermion_triple(N: int) -> CompatibleTriple:
     frequencies); metric 2I, J(u, v) = (-v, u), omega = g(J., .)."""
     if N < 0:
         raise DimensionMismatch("N must be at least 0")
-    dim = 2 * (N + 1)
-    J = np.zeros((dim, dim))
-    Om = np.zeros((dim, dim))
-    for k in range(N + 1):
-        u, v = 2 * k, 2 * k + 1
-        J[u, v] = -1.0
-        J[v, u] = 1.0
-        Om[u, v] = 2.0
-        Om[v, u] = -2.0
-    return CompatibleTriple(
-        BilinearForm("symmetric", 2.0 * np.eye(dim)),
-        ComplexStructure(J),
-        BilinearForm("antisymmetric", Om),
-    )
+    return planar_triple(np.full(N + 1, 2.0))
 
 
 def fermion_polarization(N: int) -> OrthogonalPolarization:

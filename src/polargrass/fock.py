@@ -7,15 +7,16 @@ Fock space is ``2^n``-dimensional with basis indexed by subsets of the
 mode set.  Every creation and annihilation operator is a signed partial
 permutation of that basis: column ``m`` goes to row ``m ^ (1 << k)`` or
 nowhere.  A :class:`FockOperator` stores that flip and one coefficient
-per column, so products are index compositions.
+per column.
 
 The representation is linear in the ambient vector, so the relation
 holds for every vector once it holds for the ``2n`` basis operators and
 the coordinates of the generators pair correctly.  :func:`basis_residuals`
 checks it that way: the basis relations exactly, as integer sign
-vectors, and the coordinate identity in floating point.  The pairwise
-products of represented generators (:func:`car_check`,
-:func:`adjoint_residual`) stay as a reference for small mode counts.
+vectors, and the coordinate identity in floating point.  The reference
+represents generators as dense matrices (:meth:`FockRep.represent`) and
+forms their pairwise products (:func:`car_check`,
+:func:`adjoint_residual`); it is for small mode counts, at most 10.
 
 Conventions
 -----------
@@ -31,7 +32,6 @@ Conventions
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +50,6 @@ __all__ = [
     "MAX_MODES",
     "basis_bytes",
     "check_modes",
-    "NO_TARGET",
     "FockSpace",
     "FockOperator",
     "FockRep",
@@ -64,7 +63,8 @@ __all__ = [
 ]
 
 #: Byte budget for the coefficients of the ``2n`` basis operators, each a
-#: complex128 vector of length ``2^n``, that :func:`build_fock` stores.
+#: complex128 vector of length ``2^n``, that :func:`build_fock` stores, and
+#: for one dense matrix of :meth:`FockRep.represent`.
 BASIS_BYTES = 32 << 20
 
 
@@ -92,10 +92,6 @@ def check_modes(n: int) -> None:
         )
 
 
-#: Target index of an empty column in a :class:`FockOperator` term.
-NO_TARGET = -1
-
-
 @dataclass(frozen=True)
 class FockSpace:
     """Exterior algebra of an ``n``-mode space with the subset basis."""
@@ -110,12 +106,6 @@ class FockSpace:
     @property
     def dim(self) -> int:
         return 1 << self.n
-
-    def subset(self, index: int) -> tuple[int, ...]:
-        """Ascending mode tuple named by a basis index."""
-        if not 0 <= index < self.dim:
-            raise DimensionMismatch(f"basis index {index} outside [0, {self.dim})")
-        return tuple(k for k in range(self.n) if index >> k & 1)
 
     def index_of(self, modes) -> int:
         """Basis index of a subset given as an iterable of distinct integer modes."""
@@ -142,85 +132,38 @@ class FockSpace:
         return vac
 
 
-def _distinct(flips: np.ndarray) -> np.ndarray:
-    """Sorted distinct entries; ``np.unique`` would import ``numpy.ma`` on
-    its first call, about 14 ms of a cold ``fock-car`` process on a 2-vCPU
-    machine."""
-    flips = np.sort(flips, axis=None)
-    keep = np.ones(flips.size, dtype=bool)
-    keep[1:] = flips[1:] != flips[:-1]
-    return flips[keep]
-
-
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """A matrix on the ``2^n``-dimensional subset basis, as a sum of
-    column-monomial terms.
+    """A partial permutation of the ``2^n``-dimensional subset basis,
+    scaled column by column.
 
-    Term ``t`` has at most one entry per column: column ``j`` holds
-    ``coef[t, j]`` at row ``j ^ flips[t]``, and nothing where the
-    coefficient is zero.  :attr:`target` spells this out as one row
-    index per column, ``NO_TARGET`` for an empty one.  Every term is
-    thus a partial permutation times a diagonal, and a creation or
-    annihilation operator is a single term with ``flips = [1 << k]`` and
-    coefficients 0 or +-1: a signed partial permutation.
-
-    The flips are distinct and increasing; sums and products add up the
-    terms that meet at one flip, in order.  Entries of different terms
-    therefore sit at different positions, and the Frobenius norm is the
-    norm of ``coef``.  The product of two terms is the index composition
-    ``coef_a[j ^ flip_b] coef_b[j]`` with flip ``flip_a ^ flip_b``.  An
-    operator with entries at many flips keeps one term per flip, up to
-    ``dim`` terms: the size of a dense matrix.
+    Column ``j`` holds ``coef[j]`` at row ``j ^ flip``, and nothing where
+    the coefficient is zero.  A creation or annihilation operator has
+    ``flip = 1 << k`` and coefficients 0 or +-1: a signed partial
+    permutation.
     """
 
-    flips: np.ndarray
+    flip: int
     coef: np.ndarray
 
-    # a numpy scalar on the left defers to __rmul__ instead of broadcasting
-    __array_ufunc__ = None
-
     def __post_init__(self) -> None:
-        flips = np.asarray(self.flips, dtype=np.int64)
         coef = np.asarray(self.coef, dtype=np.complex128)
-        if flips.ndim != 1 or coef.ndim != 2 or coef.shape[0] != flips.size:
-            raise DimensionMismatch(
-                f"flips {flips.shape} and coef {coef.shape} must be (terms,) and (terms, dim)"
-            )
-        dim = coef.shape[1]
-        if dim < 1 or dim & (dim - 1) or np.any((flips < 0) | (flips >= dim)):
-            raise DimensionMismatch(f"dim {dim} is not a power of two holding the flips")
-        if np.any(flips[1:] <= flips[:-1]):
-            raise DimensionMismatch("flips must be distinct and increasing; add operators to merge")
-        object.__setattr__(self, "flips", freeze(flips))
+        if coef.ndim != 1:
+            raise DimensionMismatch(f"coef {coef.shape} must be (dim,)")
+        dim = coef.size
+        if isinstance(self.flip, bool) or not isinstance(self.flip, (int, np.integer)):
+            raise DimensionMismatch(f"flip {self.flip!r} is not an integer")
+        if dim < 1 or dim & (dim - 1) or not 0 <= self.flip < dim:
+            raise DimensionMismatch(f"dim {dim} is not a power of two holding flip {self.flip}")
         object.__setattr__(self, "coef", freeze(coef))
-
-    @classmethod
-    def _wrap(cls, flips: np.ndarray, coef: np.ndarray) -> FockOperator:
-        """An operator on arrays already in normal form (distinct sorted
-        flips) that no one else holds: made read-only, not copied."""
-        op = object.__new__(cls)
-        for name, arr in (("flips", flips), ("coef", coef)):
-            arr.flags.writeable = False
-            object.__setattr__(op, name, arr)
-        return op
-
-    @classmethod
-    def identity(cls, dim: int) -> FockOperator:
-        return cls._wrap(np.zeros(1, dtype=np.int64), np.ones((1, dim), dtype=np.complex128))
 
     @property
     def dim(self) -> int:
-        return self.coef.shape[1]
+        return self.coef.size
 
     def _rows(self) -> np.ndarray:
-        """``rows[t, j] = j ^ flips[t]``; XOR with a flip is an involution."""
-        return np.arange(self.dim) ^ self.flips[:, None]
-
-    @property
-    def target(self) -> np.ndarray:
-        """Row of each term's entry in each column; ``NO_TARGET`` if empty."""
-        return np.where(self.coef != 0, self._rows(), NO_TARGET)
+        """``rows[j] = j ^ flip``; XOR with the flip is an involution."""
+        return np.arange(self.dim) ^ self.flip
 
     def toarray(self) -> np.ndarray:
         """The dense matrix."""
@@ -230,64 +173,18 @@ class FockOperator:
 
     @property
     def H(self) -> FockOperator:
-        """Conjugate transpose: term ``t`` keeps its flip and reads its
-        coefficients at the partner columns ``j ^ flips[t]``."""
-        return FockOperator._wrap(self.flips, np.conj(np.take_along_axis(self.coef, self._rows(), 1)))
+        """Conjugate transpose: the same flip, with the coefficients read at
+        the partner columns ``j ^ flip``."""
+        return FockOperator(self.flip, np.conj(self.coef[self._rows()]))
 
-    def _check_dim(self, other: FockOperator) -> None:
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"operator dims differ: {self.dim} vs {other.dim}")
-
-    def __add__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        self._check_dim(other)
-        if np.array_equal(self.flips, other.flips):
-            return FockOperator._wrap(self.flips, self.coef + other.coef)
-        flips = _distinct(np.concatenate([self.flips, other.flips]))
-        coef = np.zeros((flips.size, self.dim), dtype=np.complex128)
-        coef[np.searchsorted(flips, self.flips)] = self.coef
-        coef[np.searchsorted(flips, other.flips)] += other.coef
-        return FockOperator._wrap(flips, coef)
-
-    def __sub__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, numbers.Number):
-            return NotImplemented
-        return FockOperator._wrap(self.flips, np.asarray(scalar * self.coef, dtype=np.complex128))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        """Product with another operator (an index composition per pair of
-        terms) or with a vector of length ``dim`` (a gather per term)."""
-        if isinstance(other, FockOperator):
-            self._check_dim(other)
-            pair_flips = self.flips[:, None] ^ other.flips
-            flips = _distinct(pair_flips)
-            slot = np.searchsorted(flips, pair_flips)
-            coef = np.zeros((flips.size, self.dim), dtype=np.complex128)
-            # one axis of length 2 per bit of the column index, highest first
-            bits = (2,) * (self.dim.bit_length() - 1)
-            for t, (f, c) in enumerate(zip(other.flips, other.coef)):
-                # term f of `other` sends column j to row j ^ f, where each
-                # term of self reads its column j ^ f: reversing the axes of
-                # the bits f sets reads that without a gather or a copy
-                flipped = tuple(-1 - b for b in range(len(bits)) if f >> b & 1)
-                shifted = np.flip(self.coef.reshape(self.coef.shape[:1] + bits), flipped)
-                for s in range(shifted.shape[0]):
-                    row = coef[slot[s, t]].reshape(bits)
-                    row += shifted[s] * c.reshape(bits)
-            return FockOperator._wrap(flips, coef)
-        x = np.asarray(other)
+    def __matmul__(self, x):
+        """Product with a vector of length ``dim``: row ``r`` reads column
+        ``r ^ flip``."""
+        x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"vector shape {x.shape} != ({self.dim},)")
         rows = self._rows()
-        return np.sum(np.take_along_axis(self.coef, rows, 1) * x[rows], axis=0)
+        return self.coef[rows] * x[rows]
 
 
 def creation_matrix(n: int, k: int) -> FockOperator:
@@ -306,7 +203,7 @@ def creation_matrix(n: int, k: int) -> FockOperator:
     for j in range(k):
         parity ^= cols >> j & 1
     free = cols & bit == 0
-    return FockOperator(np.array([bit]), np.where(free, 1.0 - 2.0 * parity, 0.0)[None, :])
+    return FockOperator(bit, np.where(free, 1.0 - 2.0 * parity, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +213,8 @@ class FockRep:
     ``creation[k]`` wedges the k-th frame vector; ``annihilation[k]`` is
     its exact adjoint and represents the conjugate frame vector.  The
     linear extension :meth:`represent` sends any ambient vector
-    ``v = W p + conj(W) q`` to ``sum p_k creation[k] + q_k annihilation[k]``.
+    ``v = W p + conj(W) q`` to the dense matrix
+    ``sum p_k creation[k] + q_k annihilation[k]``.
 
     As built by :func:`build_fock`, every ``creation[k]`` is a signed
     partial permutation (entries 0 or +-1, at most one per row and
@@ -360,18 +258,27 @@ class FockRep:
         Gv = self.ambient.G @ v
         return self.frame.conj().T @ Gv, self.frame.T @ Gv
 
-    def represent(self, v: np.ndarray) -> FockOperator:
-        """Clifford action of an arbitrary ambient vector.
+    def represent(self, v: np.ndarray) -> np.ndarray:
+        """Dense matrix ``sum p_k creation[k] + q_k annihilation[k]`` of the
+        Clifford action of an ambient vector with coordinates ``(p, q)``.
 
-        Coordinates that are exactly zero add nothing and are skipped; a
-        fermion-model generator has one non-zero coordinate, so its image
-        is a single signed permutation.
+        Raises
+        ------
+        DimensionGuard
+            If the ``2^n``-square complex matrix exceeds :data:`BASIS_BYTES`
+            (above 10 modes), before it is allocated.
         """
+        size = self.dim * self.dim * np.dtype(np.complex128).itemsize
+        if size > BASIS_BYTES:
+            raise DimensionGuard(
+                f"a dense operator at {self.n} modes needs {size} bytes, above the "
+                f"budget of {BASIS_BYTES} bytes"
+            )
         p, q = self.coordinates(v)
-        out = FockOperator(np.empty(0, dtype=np.int64), np.empty((0, self.dim)))
+        out = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        cols = np.arange(self.dim)
         for c, op in zip(np.concatenate([p, q]), self.creation + self.annihilation):
-            if c != 0:
-                out = out + c * op
+            out[cols ^ op.flip, cols] += c * op.coef
         return out
 
 
@@ -396,24 +303,20 @@ def build_fock(pol: OrthogonalPolarization) -> FockRep:
     return FockRep(FockSpace(n), pol.space, frame, creation, annihilation)
 
 
-def _frobenius(op: FockOperator) -> float:
-    # distinct terms never share a position
-    return float(np.sqrt(np.sum(np.abs(op.coef) ** 2)))
-
-
 def car_check(rep: FockRep, v: np.ndarray, w: np.ndarray) -> float:
     """Residual of ``pi(v) pi(w) + pi(w) pi(v) = g(v, alpha(w)) 1``."""
     pv = rep.represent(v)
     pw = rep.represent(w)
-    pairing = complex(np.asarray(v) @ rep.ambient.G @ np.asarray(w))
-    return _frobenius(pv @ pw + pw @ pv - pairing * FockOperator.identity(rep.dim))
+    anti = pv @ pw + pw @ pv
+    anti[np.diag_indices(rep.dim)] -= np.asarray(v) @ rep.ambient.G @ np.asarray(w)
+    return float(np.linalg.norm(anti))
 
 
 def adjoint_residual(rep: FockRep, y: np.ndarray) -> float:
     """Deviation of ``pi(y)`` from ``pi(alpha(y))*``."""
     lhs = rep.represent(y)
-    rhs = rep.represent(np.conj(np.asarray(y))).H
-    return _frobenius(lhs - rhs)
+    rhs = rep.represent(np.conj(np.asarray(y))).conj().T
+    return float(np.linalg.norm(lhs - rhs))
 
 
 def _basis_name(i: int, n: int) -> str:
@@ -422,23 +325,23 @@ def _basis_name(i: int, n: int) -> str:
 
 def _basis_signs(rep: FockRep) -> np.ndarray:
     """The ``2n`` basis operators, ``creation`` then ``annihilation``, as
-    rows of signs; each must be one term at flip ``1 << k`` with entries
-    0 or +-1 only."""
+    rows of signs; each must be of the space's ``dim``, at flip ``1 << k``,
+    with entries 0 or +-1 only."""
     n = rep.n
     signs = np.empty((2 * n, rep.dim), dtype=np.int8)
     for i, op in enumerate(rep.creation + rep.annihilation):
-        single = np.array_equal(op.flips, [1 << i % n])
-        if single:
+        fits = op.dim == rep.dim and op.flip == 1 << i % n
+        if fits:
             # the cast keeps a coefficient only if it is a small integer
-            signs[i] = op.coef[0].real
+            signs[i] = op.coef.real
         if (
-            not single
-            or not np.array_equal(signs[i], op.coef[0])
+            not fits
+            or not np.array_equal(signs[i], op.coef)
             or signs[i].min() < -1
             or signs[i].max() > 1
         ):
             raise InvariantViolation(
-                f"{_basis_name(i, n)} is not one signed permutation term at flip {1 << i % n}"
+                f"{_basis_name(i, n)} is not a signed permutation at flip {1 << i % n}"
             )
     return signs
 
@@ -472,7 +375,7 @@ def basis_residuals(rep: FockRep) -> tuple[float, float]:
 
     Agrees to rounding with the maxima of :func:`car_check` over all
     ordered pairs of generators and of :func:`adjoint_residual` over all
-    generators, which form ``n(2n+1)`` distinct operator products.  What this
+    generators, which multiply dense ``2^n``-square matrices.  What this
     certifies: the basis relations hold exactly, and the coordinate
     identity reduces to the frame being g-orthonormal and bilinearly
     isotropic, which :class:`~polargrass.polarization.Polarization`
@@ -482,7 +385,7 @@ def basis_residuals(rep: FockRep) -> tuple[float, float]:
     Raises
     ------
     InvariantViolation
-        If a basis operator is not one signed permutation term at flip
+        If a basis operator is not a signed permutation at flip
         ``1 << k``, or the basis relations or adjoints fail anywhere.
     """
     n = rep.n
@@ -545,16 +448,13 @@ def vacuum_cyclicity_rank(rep: FockRep) -> int:
         prev = words ^ (1 << k)
         op = rep.creation[k]
         source = support[prev]
-        # column `source` of each term; distinct terms hit distinct rows
-        entries = op.coef[:, source]
-        hit = entries != 0
-        vals = entries.sum(axis=0) * unit[prev]
-        bad = (np.count_nonzero(hit, axis=0) != 1) | (np.abs(vals) != 1.0)
+        vals = op.coef[source] * unit[prev]
+        bad = np.abs(vals) != 1.0
         if np.any(bad):
             raise InvariantViolation(
                 f"creation word {words[bad][0]} does not map the vacuum to a unit basis vector"
             )
-        support[words] = np.where(hit, source ^ op.flips[:, None], 0).sum(axis=0)
+        support[words] = source ^ op.flip
         unit[words] = vals
     return int(np.count_nonzero(np.bincount(support, minlength=rep.dim)))
 

@@ -24,7 +24,6 @@ from .polarization import EigenSplit, OrthogonalPolarization
 from .siegel import (
     KERNEL_THRESHOLD,
     SignedMatrix,
-    chart_slots,
     chart_solve,
     graph_columns,
     mobius,
@@ -66,11 +65,6 @@ class ChartIndex:
 
     def parity(self) -> int:
         return len(self.indices) % 2
-
-
-def chart_frame(split: EigenSplit, S: ChartIndex) -> np.ndarray:
-    """g-orthonormal columns of the chart center W_S."""
-    return split.basis[:, chart_slots(split.n, S.indices)[0]]
 
 
 def chart_graph_columns(split: EigenSplit, S: ChartIndex, Z: OrthoGraphOperator) -> np.ndarray:

@@ -200,25 +200,36 @@ class CompatibleTriple:
         return self.omega.matrix
 
 
+def planar_triple(weights) -> CompatibleTriple:
+    """Triple on R^2n that is ``w_k`` times the standard one on the
+    ``(x_k, y_k)`` plane: ``G = w_k I_2``, ``J = [[0, -1], [1, 0]]`` and
+    ``Omega = w_k [[0, 1], [-1, 0]]``.  Entries are set by index into
+    zeros, so no entry is a negative zero."""
+    w = np.asarray(weights, dtype=float)
+    dim = 2 * w.size
+    x = np.arange(0, dim, 2)
+    y = x + 1
+    G = np.zeros((dim, dim))
+    J = np.zeros((dim, dim))
+    Om = np.zeros((dim, dim))
+    G[x, x] = G[y, y] = w
+    J[y, x] = 1.0
+    J[x, y] = -1.0
+    Om[x, y] = w
+    Om[y, x] = -w
+    return CompatibleTriple(
+        BilinearForm("symmetric", G),
+        ComplexStructure(J),
+        BilinearForm("antisymmetric", Om),
+    )
+
+
 def standard_triple(n: int) -> CompatibleTriple:
     """Euclidean metric, counterclockwise rotation and the standard area
     form on each (x_k, y_k) plane of R^2n."""
     if n < 1:
         raise DimensionMismatch("n must be at least 1")
-    dim = 2 * n
-    J = np.zeros((dim, dim))
-    Om = np.zeros((dim, dim))
-    for k in range(n):
-        x, y = 2 * k, 2 * k + 1
-        J[y, x] = 1.0
-        J[x, y] = -1.0
-        Om[x, y] = 1.0
-        Om[y, x] = -1.0
-    return CompatibleTriple(
-        BilinearForm("symmetric", np.eye(dim)),
-        ComplexStructure(J),
-        BilinearForm("antisymmetric", Om),
-    )
+    return planar_triple(np.ones(n))
 
 
 def complete_from_g_J(

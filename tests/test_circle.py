@@ -238,7 +238,7 @@ def refuse_boundary():
     def boundary(t):
         raise AssertionError("the quadrature grid was built before the guard")
 
-    return CircleDiffeo(kind="refused", params={}, phi=boundary, boundary=boundary)
+    return CircleDiffeo(kind="refused", params={}, boundary=boundary)
 
 
 class TestCompositionOperator:
@@ -282,7 +282,6 @@ class TestCompositionOperator:
         reverse = CircleDiffeo(
             kind="reverse",
             params={},
-            phi=lambda t: -np.asarray(t, dtype=float),
             boundary=lambda t: np.exp(-1j * np.asarray(t, dtype=float)),
         )
         with pytest.raises(NotIncreasing):

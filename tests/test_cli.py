@@ -15,6 +15,7 @@ import pytest
 from polargrass import circle, cli, polarization
 from polargrass.circle import CircleDiffeo
 from polargrass.cli import main
+from polargrass.errors import FormatError
 from polargrass.fock import MAX_MODES
 from polargrass.linalg import Frame, op_norm
 from polargrass.polarization import complexify, eigensplit, standard_split
@@ -260,7 +261,7 @@ class TestCircleVerbs:
         def boundary(t):
             raise AssertionError("the quadrature grid was built before the guard")
 
-        refused = CircleDiffeo(kind="rotation", params={}, phi=boundary, boundary=boundary)
+        refused = CircleDiffeo(kind="rotation", params={}, boundary=boundary)
         monkeypatch.setattr(circle, "diffeo_from_spec", lambda spec: refused)
         payload = {"diffeo": {"kind": "rotation", "delta": 0.3}, **payload}
         result = invoke(runner, tmp_path, "grunsky", payload, *flags)
@@ -575,6 +576,70 @@ class TestReportSuite:
         )
         assert "report-suite: pass" in result.output
         assert "expected failures" in result.output
+
+
+def shipped_suite():
+    return json.loads(resources.files("polargrass").joinpath("configs/acceptance_suite.json").read_text())
+
+
+class TestConfigSchemas:
+    def test_shipped_suite_validates(self):
+        jsonschema.validate(shipped_suite(), schema("suite_config.v1.json"))
+
+    def test_cutoff_zero_fock_scenario_validates_and_passes(self):
+        # fock-car takes cutoff 0, one mode
+        config = {
+            "scenarios": [
+                {"name": "one-mode", "verb": "fock-car", "input": {"model": "fermion"}, "cutoff": 0}
+            ]
+        }
+        jsonschema.validate(config, schema("suite_config.v1.json"))
+        agg, code = cli.run_suite(config)
+        assert code == 0 and agg["scenarios"][0]["status"] == "passed"
+        report, _ = cli.run_verb("fock-car", {"model": "fermion"}, cli.Options(cutoff=0))
+        assert report["outputs"]["modes"] == 1
+
+    def test_cutoff_zero_grunsky_scenario_fails_at_run_time(self):
+        config = {
+            "scenarios": [
+                {
+                    "name": "zero-cutoff",
+                    "verb": "grunsky",
+                    "input": {"diffeo": {"kind": "rotation", "delta": 0.3}},
+                    "cutoff": 0,
+                    "expect_error": "FormatError",
+                }
+            ]
+        }
+        jsonschema.validate(config, schema("suite_config.v1.json"))
+        agg, code = cli.run_suite(config)
+        assert code == 0 and agg["scenarios"][0]["status"] == "failed-as-expected"
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "rotation", "delta": 0.3},
+            {"kind": "mobius", "a": [0.3, -0.1]},
+            {"kind": "fourier_flow", "coeffs": [[2, 0.15], [3, 0.01]]},
+        ]
+        + [s["input"]["diffeo"] for s in shipped_suite()["scenarios"] if "diffeo" in s.get("input", {})],
+    )
+    def test_diffeo_specs_validate(self, spec):
+        jsonschema.validate(spec, schema("diffeo.v1.json"))
+        assert circle.diffeo_from_spec(spec).kind == spec["kind"]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "rotation", "delta": 0.3, "a": [0.3, 0.0]},
+            {"kind": "mobius", "a": [0.3, 0.0], "scale": 2},
+        ],
+    )
+    def test_extra_key_is_rejected_by_schema_and_builder(self, spec):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(spec, schema("diffeo.v1.json"))
+        with pytest.raises(FormatError):
+            circle.diffeo_from_spec(spec)
 
 
 def test_help_lists_all_verbs(runner):

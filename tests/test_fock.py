@@ -14,7 +14,6 @@ from polargrass.errors import DimensionGuard, DimensionMismatch, InvariantViolat
 from polargrass.fock import (
     BASIS_BYTES,
     MAX_MODES,
-    NO_TARGET,
     FockOperator,
     FockRep,
     FockSpace,
@@ -56,15 +55,12 @@ class TestFockSpace:
     def test_subset_naming(self):
         sp = FockSpace(3)
         assert sp.dim == 8
-        assert sp.subset(0) == ()
-        assert sp.subset(5) == (0, 2)
         assert sp.index_of((0, 2)) == 5
+        assert sp.index_of((2, 0)) == 5
         assert sp.index_of(()) == 0
 
     def test_bad_indices(self):
         sp = FockSpace(3)
-        with pytest.raises(DimensionMismatch):
-            sp.subset(8)
         with pytest.raises(DimensionMismatch):
             sp.index_of((0, 0))
         with pytest.raises(DimensionMismatch):
@@ -111,14 +107,15 @@ class TestCreationMatrix:
 
     def test_squares_to_zero(self):
         for k in range(3):
-            c = creation_matrix(3, k)
-            assert np.count_nonzero((c @ c).coef) == 0
+            c = creation_matrix(3, k).toarray()
+            assert np.count_nonzero(c @ c) == 0
 
     def test_raises_degree_by_one(self):
-        sp = FockSpace(3)
-        target = creation_matrix(3, 1).target[0]
-        for col in np.flatnonzero(target != NO_TARGET):
-            assert len(sp.subset(int(target[col]))) == len(sp.subset(int(col))) + 1
+        c = creation_matrix(3, 1)
+        for col in np.flatnonzero(c.coef):
+            row = int(col) ^ c.flip
+            assert c.toarray()[row, col] != 0.0
+            assert row.bit_count() == int(col).bit_count() + 1
 
     def test_mode_out_of_range(self):
         with pytest.raises(DimensionMismatch):
@@ -144,80 +141,41 @@ class TestCreationMatrix:
             assert np.array_equal(c.H.toarray(), dense.T)
 
 
-def random_operator(rng, dim, terms):
-    """Single-term operators at random, often repeated, flips."""
-    flips = rng.integers(0, dim, size=terms)
-    coef = rng.normal(size=(terms, dim)) + 1j * rng.normal(size=(terms, dim))
-    coef[rng.random((terms, dim)) < 0.3] = 0.0
-    return flips, coef
-
-
-def summed(flips, coef):
-    dim = coef.shape[1]
-    out = FockOperator(np.empty(0, dtype=np.int64), np.empty((0, dim)))
-    for f, c in zip(flips, coef):
-        out = out + FockOperator(np.array([f]), c[None, :])
-    return out
-
-
-def dense_of(flips, coef):
-    dim = coef.shape[1]
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for f, c in zip(flips, coef):
-        out[np.arange(dim) ^ f, np.arange(dim)] += c
-    return out
-
-
 class TestFockOperator:
-    @pytest.mark.parametrize("dim, terms", [(1, 1), (2, 3), (8, 5), (16, 40)])
-    def test_arithmetic_matches_dense(self, rng, dim, terms):
-        raw_a, raw_b = random_operator(rng, dim, terms), random_operator(rng, dim, terms)
-        A, B = summed(*raw_a), summed(*raw_b)
-        da, db = dense_of(*raw_a), dense_of(*raw_b)
-        # repeated flips are summed, leaving one term per flip
-        assert np.all(np.diff(A.flips) > 0) and A.flips.size <= min(dim, terms)
-        assert np.abs(A.toarray() - da).max() <= 1e-14
-        assert np.abs((A @ B).toarray() - da @ db).max() <= 1e-12
-        assert np.abs((A + B).toarray() - (da + db)).max() <= 1e-14
-        assert np.abs((A - 2.5j * B).toarray() - (da - 2.5j * db)).max() <= 1e-14
-        assert np.array_equal(A.H.toarray(), da.conj().T)
+    @pytest.mark.parametrize("dim, flip", [(1, 0), (2, 1), (8, 5), (16, 11)])
+    def test_matches_dense(self, rng, dim, flip):
+        coef = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        coef[rng.random(dim) < 0.3] = 0.0
+        op = FockOperator(flip, coef)
+        dense = np.zeros((dim, dim), dtype=np.complex128)
+        dense[np.arange(dim) ^ flip, np.arange(dim)] = coef
+        assert np.array_equal(op.toarray(), dense)
+        assert np.array_equal(op.H.toarray(), dense.conj().T)
         x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        assert np.abs(A @ x - da @ x).max() <= 1e-12
-        target = A.target
-        for t, j in zip(*np.nonzero(target != NO_TARGET)):
-            assert A.toarray()[target[t, j], j] != 0.0
-        assert np.count_nonzero(target != NO_TARGET) == np.count_nonzero(da)
-
-    def test_numpy_scalar_on_the_left(self):
-        c = creation_matrix(2, 0)
-        scaled = np.complex128(2.0 - 1.0j) * c
-        assert isinstance(scaled, FockOperator)
-        assert np.array_equal(scaled.toarray(), (2.0 - 1.0j) * c.toarray())
+        assert np.abs(op @ x - dense @ x).max() <= 1e-15
 
     @pytest.mark.parametrize(
-        "flips, coef",
+        "flip, coef",
         [
-            (np.array([0]), np.ones((1, 3))),  # dim not a power of two
-            (np.array([4]), np.ones((1, 4))),  # flip outside the basis
-            (np.array([-1]), np.ones((1, 4))),
-            (np.array([0, 1]), np.ones((1, 4))),  # one flip per term
-            (np.array([[0]]), np.ones((1, 4))),
-            (np.array([1, 1]), np.ones((2, 4))),  # repeated flips are added, not stacked
-            (np.array([2, 1]), np.ones((2, 4))),
+            (0, np.ones(3)),  # dim not a power of two
+            (4, np.ones(4)),  # flip outside the basis
+            (-1, np.ones(4)),
+            (0, np.ones((1, 4))),  # one coefficient per column, not a stack
+            (0, np.ones((2, 2))),
+            (0, np.ones(())),
+            (0, np.ones(0)),  # no basis at all
+            (1.5, np.ones(4)),  # a flip is an integer
         ],
     )
-    def test_malformed_stack(self, flips, coef):
+    def test_malformed_operator(self, flip, coef):
         with pytest.raises(DimensionMismatch):
-            FockOperator(flips, coef)
+            FockOperator(flip, coef)
 
     def test_dimension_mismatch(self):
-        a, b = creation_matrix(2, 0), creation_matrix(3, 0)
         with pytest.raises(DimensionMismatch):
-            a @ b
+            creation_matrix(2, 0) @ np.zeros(8)
         with pytest.raises(DimensionMismatch):
-            a + b
-        with pytest.raises(DimensionMismatch):
-            a @ np.zeros(8)
+            creation_matrix(2, 0) @ np.zeros((4, 4))
 
 
 class TestRepresentation:
@@ -230,11 +188,11 @@ class TestRepresentation:
 
     def test_frame_vector_is_creator(self, rep3):
         pi = rep3.represent(rep3.frame[:, 1])
-        assert np.allclose(pi.toarray(), rep3.creation[1].toarray())
+        assert np.allclose(pi, rep3.creation[1].toarray())
 
     def test_conjugate_frame_vector_is_annihilator(self, rep3):
         pi = rep3.represent(np.conj(rep3.frame[:, 2]))
-        assert np.allclose(pi.toarray(), rep3.annihilation[2].toarray())
+        assert np.allclose(pi, rep3.annihilation[2].toarray())
 
     def test_annihilators_kill_vacuum(self, rep3):
         for k in range(rep3.n):
@@ -247,6 +205,18 @@ class TestRepresentation:
     def test_mode_cap_enforced(self):
         with pytest.raises(DimensionGuard):
             build_fock(fermion_polarization(MAX_MODES))  # MAX_MODES + 1 modes
+
+    def test_dense_matrix_is_guarded_before_allocating(self, monkeypatch):
+        # 10 modes fit the budget (16 MiB); 11 need 64 MiB
+        assert 16 * 4**10 <= BASIS_BYTES < 16 * 4**11
+        rep = build_fock(fermion_polarization(10))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense operator allocated above the budget")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(DimensionGuard, match="11 modes"):
+            rep.represent(rep.frame[:, 0])
 
 
 class TestAnticommutation:
@@ -264,8 +234,7 @@ class TestAnticommutation:
         v = rep3.frame @ p
         assert car_check(rep3, v, np.conj(v)) <= 1e-13
         pv, pw = rep3.represent(v), rep3.represent(np.conj(v))
-        anti = (pv @ pw + pw @ pv).toarray()
-        assert np.allclose(anti, np.vdot(p, p) * np.eye(8))
+        assert np.allclose(pv @ pw + pw @ pv, np.vdot(p, p) * np.eye(8))
 
     def test_isotropic_pairs_anticommute(self, rep3, rng):
         # two vectors in W pair to zero, so their operators anticommute
@@ -273,7 +242,7 @@ class TestAnticommutation:
         p2 = rng.normal(size=3) + 1j * rng.normal(size=3)
         v, w = rep3.frame @ p1, rep3.frame @ p2
         pv, pw = rep3.represent(v), rep3.represent(w)
-        assert np.abs((pv @ pw + pw @ pv).toarray()).max() <= 1e-13
+        assert np.abs(pv @ pw + pw @ pv).max() <= 1e-13
 
     def test_random_ambient_vectors_four_modes(self, rng):
         rep = build_fock(fermion_polarization(3))
@@ -330,22 +299,16 @@ class TestCyclicityCertificate:
 
     def test_non_unit_entry_is_rejected(self):
         rep = build_fock(fermion_polarization(2))
-        scaled = (2.0 * rep.creation[0],) + rep.creation[1:]
+        c0 = rep.creation[0]
+        scaled = (FockOperator(c0.flip, 2.0 * c0.coef),) + rep.creation[1:]
         with pytest.raises(InvariantViolation):
             vacuum_cyclicity_rank(dataclasses.replace(rep, creation=scaled))
-
-    def test_two_entries_in_a_column_are_rejected(self):
-        # c0 + c1 sends the vacuum to e1 + e2: not one basis vector
-        rep = build_fock(fermion_polarization(1))
-        mixed = rep.creation[0] + rep.creation[1]
-        with pytest.raises(InvariantViolation):
-            vacuum_cyclicity_rank(dataclasses.replace(rep, creation=(mixed, rep.creation[1])))
 
     def test_repeated_supports_lower_the_rank(self):
         # a full permutation swapping 0 <-> 1 and 2 <-> 3 for both modes:
         # the words land on e1, e1, e0 after the vacuum, so two supports
         rep = build_fock(fermion_polarization(1))
-        swap = FockOperator(np.array([1]), np.ones((1, 4)))
+        swap = FockOperator(1, np.ones(4))
         assert np.array_equal(swap.toarray(), np.eye(4)[[1, 0, 3, 2]])
         tampered = dataclasses.replace(rep, creation=(swap, swap))
         assert vacuum_cyclicity_rank(tampered) == 2
@@ -370,66 +333,30 @@ def pairwise(rep):
     return car, max(adjoint_residual(rep, g) for g in gens)
 
 
-def dense(rep):
-    """The generator residuals from dense matrices, every entry summed once."""
-    gens = generators(rep)
-    mats = [rep.represent(g).toarray() for g in gens]
-    G = rep.ambient.G
-    one = np.eye(rep.dim)
-    car = max(
-        np.linalg.norm(a @ b + b @ a - complex(v @ G @ w) * one)
-        for v, a in zip(gens, mats)
-        for w, b in zip(gens, mats)
-    )
-    adjoint = max(
-        np.linalg.norm(a - rep.represent(np.conj(g)).toarray().conj().T)
-        for g, a in zip(gens, mats)
-    )
-    return car, adjoint
-
-
 class TestGeneratorResiduals:
-    @pytest.mark.parametrize("modes", [3, 4, 5])
-    def test_rotated_frame_agrees_with_dense(self, modes):
-        # every generator mixes all 2n operators, so entries repeat across
-        # terms and must be summed before the norm
-        rep, _ = rotated_frame_rep(modes, 400 + modes)
-        car, adjoint = pairwise(rep)
-        ref_car, ref_adjoint = dense(rep)
-        assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
-
-    def test_tampered_rep_agrees_with_dense(self):
-        rep = build_fock(fermion_polarization(3))
-        bad = (rep.creation[0] + rep.annihilation[0],) + rep.creation[1:]
-        tampered = dataclasses.replace(rep, creation=bad)
-        car, adjoint = pairwise(tampered)
-        ref_car, ref_adjoint = dense(tampered)
-        assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
-
     @pytest.mark.parametrize("modes", [4, 7, 10])
     def test_fermion_generators_are_single_terms(self, modes):
-        # one-hot coordinates: each generator is one signed permutation
+        # one-hot coordinates: each generator is exactly one basis operator
         rep = build_fock(fermion_polarization(modes - 1))
-        for g in generators(rep):
+        for g, op in zip(generators(rep), rep.creation + rep.annihilation):
             p, q = rep.coordinates(g)
             assert np.count_nonzero(np.concatenate([p, q])) == 1
-            assert rep.represent(g).flips.size == 1
+            assert np.array_equal(rep.represent(g), op.toarray())
 
     @pytest.mark.parametrize("modes", [3, 4, 5])
     def test_fermion_agrees_with_pairwise(self, modes):
-        rep = build_fock(fermion_polarization(modes - 1))
-        car, adjoint = pairwise(rep)
-        ref_car, ref_adjoint = dense(rep)
-        assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
-        assert max(car, adjoint, ref_car, ref_adjoint) <= CAR_TOL
+        # the verb's report on the built-in model, against the dense reference
+        report, code = run_verb("fock-car", {"model": "fermion", "cutoff": modes - 1}, Options())
+        assert code == 0, report
+        car, adjoint = pairwise(build_fock(fermion_polarization(modes - 1)))
+        assert abs(report["residuals"]["car_max"] - car) <= 1e-13
+        assert abs(report["residuals"]["adjoint_max"] - adjoint) <= 1e-13
+        assert max(car, adjoint) <= CAR_TOL
 
     def test_tampered_rep_agrees_with_pairwise(self):
         # creation[0] + annihilation[0] squares to the identity, so the
         # diagonal pair (f_0, f_0) and the adjoint of f_0 fail by O(1)
-        rep = build_fock(fermion_polarization(3))
-        bad = (rep.creation[0] + rep.annihilation[0],) + rep.creation[1:]
-        tampered = dataclasses.replace(rep, creation=bad)
-        car, adjoint = pairwise(tampered)
+        car, adjoint = pairwise(tampered_reps()["creator-plus-annihilator"])
         assert car == pytest.approx(2.0 * np.sqrt(16)) and adjoint == pytest.approx(np.sqrt(8))
 
     @pytest.mark.parametrize("modes", [3, 4, 5])
@@ -458,19 +385,21 @@ def with_basis_op(rep, i, op):
 
 def with_entry(op, col, value):
     coef = op.coef.copy()
-    coef[0, col] = value
-    return FockOperator(op.flips, coef)
+    coef[col] = value
+    return FockOperator(op.flip, coef)
 
 
 def tampered_reps():
     rep = build_fock(fermion_polarization(3))
     c0, c1, c2 = rep.creation[:3]
-    col = int(np.flatnonzero(c2.coef[0])[1])
+    a0, a1 = rep.annihilation[:2]
+    col = int(np.flatnonzero(c2.coef)[1])
     return {
-        "creator-plus-annihilator": with_basis_op(rep, 0, c0 + rep.annihilation[0]),
-        "flipped-sign": with_basis_op(rep, 2, with_entry(c2, col, -c2.coef[0, col])),
+        "creator-plus-annihilator": with_basis_op(rep, 0, FockOperator(c0.flip, c0.coef + a0.coef)),
+        "flipped-sign": with_basis_op(rep, 2, with_entry(c2, col, -c2.coef[col])),
         "inexact-coefficient": with_basis_op(rep, 1, with_entry(c1, 0, 1.0 + 1e-9)),
-        "annihilator-not-adjoint": with_basis_op(rep, rep.n + 1, -1.0 * rep.annihilation[1]),
+        "annihilator-not-adjoint": with_basis_op(rep, rep.n + 1, FockOperator(a1.flip, -a1.coef)),
+        "wrong-dim": with_basis_op(rep, 0, FockOperator(c0.flip, np.ones(2 * rep.dim))),
     }
 
 
@@ -486,7 +415,7 @@ class TestBasisResiduals:
     def test_rotated_frame_agrees_with_generator_residuals(self, modes):
         rep, _ = rotated_frame_rep(modes, 400 + modes)
         car, adjoint = basis_residuals(rep)
-        ref_car, ref_adjoint = dense(rep)
+        ref_car, ref_adjoint = pairwise(rep)
         assert abs(car - ref_car) <= 1e-13 and abs(adjoint - ref_adjoint) <= 1e-13
         assert max(car, adjoint) <= CAR_TOL
 
@@ -497,6 +426,7 @@ class TestBasisResiduals:
             "flipped-sign",
             "inexact-coefficient",
             "annihilator-not-adjoint",
+            "wrong-dim",
         ],
     )
     def test_tampered_basis_never_passes(self, name, monkeypatch):

@@ -113,7 +113,7 @@ def _nan_boundary():
     def boundary(t):
         return np.where(np.asarray(t) > 1.0, NAN, np.exp(1j * np.asarray(t)))
 
-    return CircleDiffeo("custom", {}, phi=lambda t: t, boundary=boundary)
+    return CircleDiffeo("custom", {}, boundary=boundary)
 
 
 J2 = standard_triple(1).Jmat

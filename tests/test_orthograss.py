@@ -16,7 +16,6 @@ from polargrass.linalg import Frame, hs_norm, principal_angle_distance
 from polargrass.orthograss import (
     ChartIndex,
     OrthoGraphOperator,
-    chart_frame,
     chart_graph_columns,
     chart_polarization,
     find_chart,
@@ -32,12 +31,18 @@ from polargrass.siegel import (
     PairedBlocks,
     SiegelPoint,
     block_decompose,
+    chart_slots,
     chart_solve,
     mobius,
     mobius_act,
     restricted_character,
 )
 from polargrass.triples import standard_triple
+
+
+def center(split, S):
+    """g-orthonormal columns of the chart center W_S."""
+    return split.basis[:, chart_slots(split.n, S.indices)[0]]
 
 
 @pytest.fixture(scope="module")
@@ -72,9 +77,9 @@ class TestChartIndex:
         assert ChartIndex.of((2,)).parity() == 1
         assert ChartIndex.of((1, 3)).parity() == 0
 
-    def test_index_beyond_n_rejected_by_chart_frame(self, split3):
+    def test_index_beyond_n_rejected_by_chart_slots(self, split3):
         with pytest.raises(DimensionMismatch):
-            chart_frame(split3, ChartIndex.of((4,)))
+            chart_slots(split3.n, ChartIndex.of((4,)).indices)
 
 
 class TestGraphOperator:
@@ -90,13 +95,13 @@ class TestGraphOperator:
 
 class TestChartCenters:
     def test_empty_chart_is_lplus(self, split3):
-        F = chart_frame(split3, ChartIndex.of(()))
+        F = center(split3, ChartIndex.of(()))
         assert np.array_equal(F, split3.lplus)
 
     def test_singleton_chart_swaps_one_column(self, split3):
         # S = {2}: slot 2 holds the conjugate partner e_{-2}, slots 1 and 3
         # keep e_1, e_3
-        F = chart_frame(split3, ChartIndex.of((2,)))
+        F = center(split3, ChartIndex.of((2,)))
         assert np.array_equal(F[:, 0], split3.lplus[:, 0])
         assert np.array_equal(F[:, 1], split3.lminus[:, 1])
         assert np.array_equal(F[:, 2], split3.lplus[:, 2])
@@ -105,7 +110,7 @@ class TestChartCenters:
         S = ChartIndex.of((1, 3))
         Z0 = OrthoGraphOperator(np.zeros((3, 3)))
         cols = chart_graph_columns(split3, S, Z0)
-        assert np.allclose(cols, chart_frame(split3, S))
+        assert np.allclose(cols, center(split3, S))
 
     def test_chart_polarization_is_isotropic(self, split3):
         # OrthogonalPolarization validates isotropy on construction, so a
@@ -131,7 +136,7 @@ class TestFindChart:
         assert hs_norm(res.Z.Z) <= 1e-12
 
     def test_single_swap_center(self, split3):
-        res = find_chart(Frame.from_columns(chart_frame(split3, ChartIndex.of((2,)))), split3)
+        res = find_chart(Frame.from_columns(center(split3, ChartIndex.of((2,)))), split3)
         assert res.S.indices == (2,)
         assert res.kernel_dims == (1, 0)
 
@@ -261,7 +266,7 @@ class TestFredholm:
 
     def test_center_kernel_counts_swaps(self, split3):
         # W_S meets L- exactly in the swapped directions
-        rep = fredholm_index(Frame.from_columns(chart_frame(split3, ChartIndex.of((2,)))), split3)
+        rep = fredholm_index(Frame.from_columns(center(split3, ChartIndex.of((2,)))), split3)
         assert (rep.dim_ker, rep.dim_coker) == (1, 1)
 
     def test_kernel_equals_cokernel_random(self, split3, rng):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from polargrass.circle import boson_triple, fermion_triple
 from polargrass.errors import (
     DimensionMismatch,
     FormatError,
@@ -21,6 +22,7 @@ from polargrass.triples import (
     complete_from_g_J,
     complete_from_g_omega,
     complete_from_J_omega,
+    planar_triple,
     pullback_triple,
     standard_triple,
     verify_triple,
@@ -53,6 +55,39 @@ class TestStandardTriple:
     def test_rejects_n_zero(self):
         with pytest.raises(DimensionMismatch):
             standard_triple(0)
+
+
+class TestPlanarTriple:
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_planes_carry_the_weighted_blocks(self, n):
+        weights = 0.5 * np.arange(1, n + 1)
+        t = planar_triple(weights)
+        blocks = {
+            "G": [w * np.eye(2) for w in weights],
+            "Jmat": [np.array([[0.0, -1.0], [1.0, 0.0]])] * n,
+            "Omega": [w * np.array([[0.0, 1.0], [-1.0, 0.0]]) for w in weights],
+        }
+        for name, planes in blocks.items():
+            expected = np.zeros((2 * n, 2 * n))
+            for k, block in enumerate(planes):
+                expected[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+            M = getattr(t, name)
+            assert np.array_equal(M, expected)
+            # triple_to_json writes -0.0 as -0, which would change its bytes
+            assert not np.any(np.signbit(M[M == 0.0]))
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_models_are_planar(self, n):
+        for t, weights in (
+            (standard_triple(n), np.ones(n)),
+            (boson_triple(n), 0.5 * np.arange(1, n + 1)),
+            (fermion_triple(n - 1), np.full(n, 2.0)),
+        ):
+            ref = planar_triple(weights)
+            for name in ("G", "Jmat", "Omega"):
+                M = getattr(t, name)
+                assert np.array_equal(M, getattr(ref, name))
+                assert np.array_equal(np.signbit(M), np.signbit(getattr(ref, name)))
 
 
 class TestForms:
