@@ -134,7 +134,7 @@ class BosonModel:
         return Om
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircleDiffeo:
     """An orientation-preserving diffeomorphism ``t -> phi(t)`` of the circle.
 

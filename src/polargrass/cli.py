@@ -109,7 +109,6 @@ def _verb_triple_verify(obj, opts: Options) -> dict:
     m = _triple_members(obj, ("g", "J", "omega"))
     report = verify_triple(m["g"], m["J"], m["omega"], opts.tol)
     return {
-        "verb": "triple-verify",
         "inputs": {"dim": m["g"].dim},
         "residuals": {**report.residuals, "g_min_eigenvalue": report.g_min_eigenvalue},
         "pass": report.compatible and report.positive,
@@ -135,7 +134,6 @@ def _verb_triple_complete(obj, opts: Options) -> dict:
     else:
         t = complete_from_J_omega(m["J"], m["omega"], opts.tol)
     return {
-        "verb": "triple-complete",
         "inputs": {"dim": t.dim, "given": list(present)},
         "residuals": {**t.report.residuals, "g_min_eigenvalue": t.report.g_min_eigenvalue},
         "pass": True,
@@ -152,7 +150,6 @@ def _verb_polarize(obj, opts: Options) -> dict:
     split = eigensplit(space, tol=opts.tol)
     L = split.lplus
     return {
-        "verb": "polarize",
         "inputs": {"dim": t.dim},
         "residuals": {
             "eigenvector": split.eigenvector_residual,
@@ -177,7 +174,6 @@ def _verb_siegel_member(obj, opts: Options) -> dict:
     else:
         raise FormatError(f'model must be "disk" or "halfspace", got {model!r}')
     return {
-        "verb": "siegel-member",
         "inputs": {"model": model, "n": mat.shape[0]},
         "residuals": {
             "symmetry_residual": rep.symmetry_residual,
@@ -200,7 +196,6 @@ def _verb_siegel_act(obj, opts: Options) -> dict:
     u = BlockSymplectic(a, b)
     q = mobius_act(u, p)
     return {
-        "verb": "siegel-act",
         "inputs": {"n": u.n},
         "residuals": {
             "result_symmetry": q.symmetry_residual,
@@ -226,7 +221,6 @@ def _verb_grunsky(obj, opts: Options) -> dict:
         1.0 - p.opnorm, CONTRACTION_MARGIN, 0.0
     )
     return {
-        "verb": "grunsky",
         "inputs": {"kind": obj["diffeo"].get("kind"), "cutoff": N, "quadrature": K},
         "residuals": {
             "z_opnorm": p.opnorm,
@@ -239,8 +233,9 @@ def _verb_grunsky(obj, opts: Options) -> dict:
 
 def _verb_chart_find(obj, opts: Options) -> dict:
     """Locate a chart of the orthogonal Grassmannian containing a frame."""
-    from .orthograss import chart_graph_columns, find_chart
+    from .orthograss import find_chart
     from .polarization import standard_split
+    from .siegel import graph_columns
 
     se._check_keys(obj, ("frame",))
     w = se.frame_from_json(obj["frame"])
@@ -250,10 +245,9 @@ def _verb_chart_find(obj, opts: Options) -> dict:
         )
     split = standard_split(w.rank)
     found = find_chart(w, split)
-    cols = chart_graph_columns(split, found.S, found.Z)
+    cols = graph_columns(split, found.Z.Z, found.S.indices)
     recon = principal_angle_distance(Frame.from_columns(cols), w)
     return {
-        "verb": "chart-find",
         "inputs": {"n": w.rank},
         "residuals": {
             "reconstruction": recon,
@@ -281,7 +275,6 @@ def _verb_chart_transition(obj, opts: Options) -> dict:
     S2 = se.chart_index_from_json(obj["target"])
     Z2 = transition(S1, S2, Z1)
     return {
-        "verb": "chart-transition",
         "inputs": {
             "n": Z1.n,
             "source": se.chart_index_to_json(S1),
@@ -322,7 +315,6 @@ def _verb_fock_car(obj, opts: Options) -> dict:
     rank = vacuum_cyclicity_rank(rep)
     ok = all(within(r, CAR_TOL, 0.0) for r in (car, adjoint, vac)) and rank == rep.dim
     return {
-        "verb": "fock-car",
         "inputs": inputs,
         "residuals": {
             "car_max": car,
@@ -343,7 +335,6 @@ def _verb_torus_period(obj, opts: Options) -> dict:
     rep = torus_period(tau)
     residuals = dict(rep.residuals)
     return {
-        "verb": "torus-period",
         "inputs": {"tau": [tau.real, tau.imag]},
         "residuals": residuals,
         "pass": all(within(r, TORUS_PERIOD_TOL, 0.0) for r in residuals.values()),
@@ -382,7 +373,7 @@ def run_verb(verb: str, obj, opts: Options) -> tuple[dict, int]:
         return _error_report(verb, exc), 2
     except Exception as exc:  # FormatError, or a malformed structure that slipped past checks
         return _error_report(verb, exc), 1
-    report["schema"] = REPORT_SCHEMA
+    report["schema"], report["verb"] = REPORT_SCHEMA, verb
     return report, 0 if report["pass"] else 2
 
 
@@ -518,7 +509,6 @@ def _verb_command(verb: str, input_path: str, output_path: str | None, opts: Opt
         _write_out(_error_report(verb, exc), output_path, f"{verb}: error")
         return 1
     report, code = run_verb(verb, obj, opts)
-    report.setdefault("inputs", {})
     report["inputs"]["path"] = str(input_path)
     verdict = "pass" if code == 0 else report.get("error", "fail")
     _write_out(report, output_path, f"{verb}: {verdict}")

@@ -3,12 +3,12 @@
 Charts are indexed by subsets S of {1..n}: the chart center W_S keeps the
 paired basis vector e_j for j outside S and swaps in its conjugate e_{-j}
 for j in S.  A polarization inside the chart is the graph of an
-antisymmetric matrix over W_S.  A chart change is the paired-block
-action of :mod:`polargrass.siegel` with diagonal 0/1 blocks (a keeps a
-slot, b swaps it); overlaps are constrained by the parity of |S| (the two
-components of the Grassmannian), so transitions between charts of
-different parity are always singular.  Orthogonal maps compress to
-``PairedBlocks`` of sign -1 (``siegel.block_decompose(u, split, -1)``).
+antisymmetric matrix over W_S.  A chart change S1 -> S2 is the principal
+pivot transform of Z on S1 delta S2: it keeps the rows of Z on the slots
+whose pairing agrees between the centers and takes rows of the identity on
+the slots it swaps.  Charts of different parity of |S| lie in the two
+components of the Grassmannian and never overlap.  Orthogonal maps compress
+to ``PairedBlocks`` of sign -1 (``siegel.block_decompose(u, split, -1)``).
 """
 
 from __future__ import annotations
@@ -19,15 +19,9 @@ from typing import ClassVar, Iterable
 import numpy as np
 
 from .errors import DimensionMismatch, FormatError, NoPairing, OutsideChart
-from .linalg import Frame, as_matrix, check_clears, hs_norm, right_divide
+from .linalg import Frame, as_matrix, check_clears, check_invertible, hs_norm, right_divide
 from .polarization import EigenSplit, OrthogonalPolarization
-from .siegel import (
-    KERNEL_THRESHOLD,
-    SignedMatrix,
-    chart_solve,
-    graph_columns,
-    mobius,
-)
+from .siegel import SignedMatrix, chart_slots, chart_solve, graph_columns, numerical_rank, split_frame
 
 PAIRING_THRESHOLD = 1e-10
 
@@ -67,16 +61,11 @@ class ChartIndex:
         return len(self.indices) % 2
 
 
-def chart_graph_columns(split: EigenSplit, S: ChartIndex, Z: OrthoGraphOperator) -> np.ndarray:
-    """Columns spanning the graph of Z over W_S."""
-    return graph_columns(split, Z.Z, S.indices)
-
-
 def chart_polarization(
     split: EigenSplit, S: ChartIndex, Z: OrthoGraphOperator
 ) -> OrthogonalPolarization:
     """The orthogonal polarization with chart coordinates (S, Z)."""
-    cols = chart_graph_columns(split, S, Z)
+    cols = graph_columns(split, Z.Z, S.indices)
     return OrthogonalPolarization(split.space, Frame.from_columns(cols))
 
 
@@ -88,10 +77,7 @@ class FindChartResult:
 
 
 def _wplus_columns(w, split: EigenSplit) -> np.ndarray:
-    frame = w.wplus if isinstance(w, OrthogonalPolarization) else w
-    if frame.ambient_dim != 2 * split.n or frame.rank != split.n:
-        raise DimensionMismatch("frame shape does not match the split")
-    return split.space.g_orthonormalize(frame.matrix)
+    return split.space.g_orthonormalize(split_frame(w, split).matrix)
 
 
 def find_chart(w, split: EigenSplit) -> FindChartResult:
@@ -130,39 +116,37 @@ def find_chart(w, split: EigenSplit) -> FindChartResult:
     raise NoPairing("chart search failed to terminate")  # pragma: no cover
 
 
-def _swap_blocks(S1: ChartIndex, S2: ChartIndex, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Paired blocks of the chart change: a keeps the slots whose pairing
-    agrees between the centers, b swaps the others.
-
-    Raises
-    ------
-    DimensionMismatch
-        If either chart names an index above ``n``.
-    """
-    for S in (S1, S2):
-        if S.indices and S.indices[-1] > n:
-            raise DimensionMismatch(f"chart index {S.indices[-1]} exceeds n={n}")
-    same = np.array([1.0 if ((j in S1) == (j in S2)) else 0.0 for j in range(1, n + 1)])
-    return np.diag(same), np.diag(1.0 - same)
+def _pivot(S1: ChartIndex, S2: ChartIndex, Z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(keep, N, D)`` of the chart change at Z: on the rows ``keep`` marks,
+    the slots whose pairing agrees between W_S1 and W_S2, N takes the rows
+    of Z and D those of I; on the swapped rows the other way round.  Charts
+    of different parity are refused (``OutsideChart``): no point of one
+    component of the Grassmannian lies in a chart of the other."""
+    n = Z.shape[0]
+    keep = (chart_slots(n, S1.indices)[0] == chart_slots(n, S2.indices)[0])[:, None]
+    if S1.parity() != S2.parity():
+        raise OutsideChart(f"target chart {S2.indices} lies in the other component")
+    eye = np.eye(n)
+    return keep, np.where(keep, Z, eye), np.where(keep, eye, Z)
 
 
 def transition(S1: ChartIndex, S2: ChartIndex, Z1: OrthoGraphOperator) -> OrthoGraphOperator:
-    """Chart change ``Z1 -> (b + a Z1)(a + b Z1)^{-1}``: :func:`mobius` on
-    the real diagonal 0/1 blocks of :func:`_swap_blocks`.  For S1 = S2 the
+    """Chart change ``Z1 -> N D^{-1}`` with N and D of :func:`_pivot`, the
+    principal pivot transform of Z1 on the swapped slots.  For S1 = S2 the
     map is the identity.
 
     Raises
     ------
     DimensionMismatch
-        If either chart names an index above ``Z1.n``.
+        If either chart names an index outside 1..``Z1.n``.
     OutsideChart
         If the point lies outside the target chart (singular
         denominator); always the case when |S1| and |S2| have different
-        parity.
+        parity, which is refused before any solve.
     """
-    a, b = _swap_blocks(S1, S2, Z1.n)
-    Z2 = mobius(a, b, Z1.Z, 1e-10, OutsideChart,
-                f"target chart {S2.indices} does not contain the point")
+    _, num, den = _pivot(S1, S2, Z1.Z)
+    Z2 = right_divide(num, den, 1e-10, OutsideChart,
+                      f"target chart {S2.indices} does not contain the point")
     return OrthoGraphOperator(Z2, atol=max(Z1.atol, 1e-10))
 
 
@@ -171,20 +155,19 @@ def transition_derivative(
 ) -> np.ndarray:
     """Directional (Gateaux) derivative of the chart change at Z1.
 
-    For the action ``Psi(Z) = (b + conj(a) Z)(a + conj(b) Z)^{-1}`` the
-    derivative in direction W is ``[conj(a) W - Psi(Z1) conj(b) W]
-    (a + conj(b) Z1)^{-1}``; complex-linearity in W is what
+    For ``Psi(Z) = N D^{-1}`` (:func:`transition`) the derivative in
+    direction W is ``[K W - Psi(Z1) (I - K) W] D^{-1}``, K the projection
+    onto the kept slots; complex-linearity in W is what
     :func:`holomorphy_check` verifies numerically.
     """
     W = as_matrix(direction, square=True)
-    n = Z1.n
-    if W.shape[0] != n:
+    if W.shape[0] != Z1.n:
         raise DimensionMismatch("direction size does not match the point")
-    a, b = _swap_blocks(S1, S2, n)
-    what = f"target chart {S2.indices} does not contain the point"
-    psi = mobius(a, b, Z1.Z, 1e-10, OutsideChart, what)
-    return right_divide(a.conj() @ W - psi @ b.conj() @ W, a + b.conj() @ Z1.Z,
-                        1e-10, OutsideChart, what)
+    keep, num, den = _pivot(S1, S2, Z1.Z)
+    check_invertible(den, 1e-10, OutsideChart,
+                     f"target chart {S2.indices} does not contain the point")
+    psi = np.linalg.solve(den.T, num.T).T
+    return np.linalg.solve(den.T, (keep * W - (psi * ~keep.T) @ W).T).T
 
 
 @dataclass(frozen=True)
@@ -230,11 +213,9 @@ def holomorphy_check(
 
 
 def _intersection_dim(A: np.ndarray, B: np.ndarray) -> int:
-    def rank(M: np.ndarray) -> int:
-        svals = np.linalg.svd(M, compute_uv=False)
-        return int(np.sum(svals > KERNEL_THRESHOLD * max(1.0, svals.max())))
-
-    return rank(A) + rank(B) - rank(np.hstack([A, B]))
+    ra, rb, rab = (numerical_rank(np.linalg.svd(M, compute_uv=False))
+                   for M in (A, B, np.hstack([A, B])))
+    return ra + rb - rab
 
 
 @dataclass(frozen=True)

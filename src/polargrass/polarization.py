@@ -45,6 +45,7 @@ from .linalg import (
     check_within,
     freeze,
     hs_norm,
+    min_eig_hermitian,
     smallest_singular_value,
     sqrt_pair_hermitian,
 )
@@ -271,8 +272,7 @@ class PositiveSymplecticPolarization(Polarization):
         W = self.wplus.matrix
         span = smallest_singular_value(np.hstack([W, np.conj(W)]))
         check_clears(span, 1e-8, 0.0, NotComplementary, "W + alpha(W) degenerate: sigma_min")
-        M = self.positivity_matrix()
-        min_eig = float(np.linalg.eigvalsh(0.5 * (M + M.conj().T)).min())
+        min_eig = min_eig_hermitian(self.positivity_matrix())
         check_clears(min_eig, DEFAULT_TOL.spd_tol, 0.0, NotPositive, "positivity min eigenvalue")
         return {"spanning_sigma_min": span, "positivity_min_eig": min_eig}
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from . import serialize as se
 from .errors import FormatError
 from .linalg import op_norm
 from .polarization import standard_split
@@ -103,8 +104,6 @@ def generate_input(spec: dict, rng: np.random.Generator) -> dict:
     result is an ordinary JSON input object, so generated scenarios pass
     through exactly the same parsing path as hand-written ones.
     """
-    from . import serialize as se  # local import to avoid a cycle at module load
-
     if not isinstance(spec, dict) or "make" not in spec:
         raise FormatError("generate block must be an object with a 'make' key")
     make = spec.get("make")

@@ -449,6 +449,8 @@ def frame_to_json(frame: Frame) -> dict:
 def frame_from_json(obj) -> Frame:
     mat = matrix_from_json(obj, extra=("ambient_dim",))
     ambient = obj.get("ambient_dim")
+    if isinstance(ambient, bool) or not isinstance(ambient, int):
+        raise FormatError(f"ambient_dim must be an integer, got {ambient!r}")
     if ambient != mat.shape[0]:
         raise DimensionMismatch(
             f"ambient_dim {ambient!r} does not match {mat.shape[0]} rows"

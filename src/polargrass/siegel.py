@@ -56,6 +56,12 @@ KERNEL_THRESHOLD = 1e-8
 BLOCK_TOL = 1e-9
 
 
+def numerical_rank(svals: np.ndarray) -> int:
+    """How many of the singular values ``svals`` lie above
+    ``KERNEL_THRESHOLD * max(1, sigma_max)``: the chart layer's one rank rule."""
+    return int(np.sum(svals > KERNEL_THRESHOLD * max(1.0, svals.max(initial=0.0))))
+
+
 @dataclass(frozen=True, eq=False)
 class SignedMatrix:
     """A square matrix with ``Z^T = sign Z`` within the relative budget ``atol``.
@@ -327,12 +333,22 @@ def chart_slots(n: int, swapped: Iterable[int] = ()) -> tuple[np.ndarray, np.nda
     Slot j (1-based) of the center holds ``e_{-j}`` for j in ``swapped`` and
     ``e_j`` otherwise; its partner is the other one.  ``swapped = ()`` gives
     L+ with partners L-.
+
+    Raises
+    ------
+    DimensionMismatch
+        If an index lies outside 1..n or repeats: the one check of chart
+        indices against n.
     """
-    swapped = np.fromiter(swapped, dtype=int)
-    if swapped.size and swapped.max() > n:
-        raise DimensionMismatch(f"chart index {swapped.max()} exceeds n={n}")
+    swapped = tuple(swapped)
+    for j in swapped:
+        if not 1 <= j <= n:
+            raise DimensionMismatch(f"chart index {j} exceeds n={n}" if j > n else
+                                    f"chart index {j} is not positive")
+    if len(set(swapped)) != len(swapped):
+        raise DimensionMismatch(f"chart indices {list(swapped)} repeat an index")
     slots = np.arange(n)
-    slots[swapped - 1] += n
+    slots[np.fromiter(swapped, dtype=int, count=len(swapped)) - 1] += n
     return slots, (slots + n) % (2 * n)
 
 
@@ -363,10 +379,19 @@ def chart_solve(dual: np.ndarray, cols: np.ndarray, swapped: Iterable[int] = ())
         raise ProjectionSingular(f"projection onto the chart center: {exc}") from exc
     if not np.all(np.isfinite(svals)):
         raise ProjectionSingular("projection onto the chart center is not finite")
-    kernel = int(np.sum(svals <= KERNEL_THRESHOLD * max(1.0, svals.max(initial=0.0))))
+    kernel = svals.size - numerical_rank(svals)
     if kernel:
         return kernel, vh[-1].conj()
     return 0, np.linalg.solve(C.T, (dual[perp] @ cols).T).T
+
+
+def split_frame(w, split: EigenSplit) -> Frame:
+    """The frame of ``w`` (a :class:`Frame`, or a :class:`Polarization`'s
+    ``wplus``), checked to be 2n x n for ``split``."""
+    frame = w.wplus if isinstance(w, Polarization) else w
+    if frame.ambient_dim != 2 * split.n or frame.rank != split.n:
+        raise DimensionMismatch("frame shape does not match the split")
+    return frame
 
 
 def graph_frame(p: SiegelPoint, split: EigenSplit) -> Frame:
@@ -386,10 +411,7 @@ def graph_operator(w, split: EigenSplit) -> SiegelPoint:
     ProjectionSingular
         If the subspace is not a graph over L+ (projection has kernel).
     """
-    frame = w.wplus if isinstance(w, Polarization) else w
-    if frame.ambient_dim != 2 * split.n or frame.rank != split.n:
-        raise DimensionMismatch("frame shape does not match the split")
-    kernel, Z = chart_solve(split.dual, frame.matrix)
+    kernel, Z = chart_solve(split.dual, split_frame(w, split).matrix)
     if kernel:
         raise ProjectionSingular(f"projection to L+ is singular (kernel dimension {kernel})")
     return SiegelPoint(Z)

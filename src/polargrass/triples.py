@@ -42,7 +42,7 @@ from .linalg import (
 _SYM_KINDS = ("symmetric", "antisymmetric")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearForm:
     """A real nondegenerate bilinear form ``(v, w) -> v^T M w``.
 
@@ -74,7 +74,7 @@ class BilinearForm:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexStructure:
     """A real matrix J with ``J^2 = -I``; ``atol`` is the budget of
     ``square_residual = ||J^2 + I||`` relative to ``||J||^2``.
@@ -102,7 +102,7 @@ class ComplexStructure:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TripleReport:
     """Identity residuals and the smallest eigenvalue of G, each with its verdict."""
 

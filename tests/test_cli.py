@@ -332,6 +332,24 @@ class TestChartVerbs:
         assert (code, report["error"]) == (1, "FormatError")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "ambient, rows, error, code",
+        [(None, 2, "FormatError", 1), (True, 1, "FormatError", 1), (2.0, 2, "FormatError", 1),
+         (4, 2, "DimensionMismatch", 2)],
+        ids=["missing", "true", "float", "disagrees"],
+    )
+    def test_find_reads_ambient_dim_as_an_integer(self, ambient, rows, error, code):
+        # matrix.v1.json types ambient_dim as an integer; only an integer
+        # that disagrees with rows is a domain error
+        frame = frame_to_json(Frame(np.eye(rows)[:, :1]))
+        if ambient is None:
+            del frame["ambient_dim"]
+        else:
+            frame["ambient_dim"] = ambient
+        report, got = cli.run_verb("chart-find", {"frame": frame}, cli.Options())
+        assert (got, report["error"]) == (code, error)
+        assert "ambient_dim" in report["detail"]
+
     def test_find_keeps_the_split_cache_bounded(self):
         standard_split.cache_clear()
         bound = standard_split.cache_info().maxsize

@@ -1,8 +1,11 @@
 """Chart atlas tests: indexing, chart location, transitions, index theory."""
 
+from itertools import chain, combinations
+
 import numpy as np
 import pytest
 
+from polargrass import linalg, orthograss
 from polargrass.errors import (
     DimensionMismatch,
     FormatError,
@@ -12,11 +15,10 @@ from polargrass.errors import (
     ProjectionSingular,
     ShapeViolation,
 )
-from polargrass.linalg import Frame, hs_norm, principal_angle_distance
+from polargrass.linalg import Frame, hs_norm, principal_angle_distance, right_divide
 from polargrass.orthograss import (
     ChartIndex,
     OrthoGraphOperator,
-    chart_graph_columns,
     chart_polarization,
     find_chart,
     fredholm_index,
@@ -33,6 +35,7 @@ from polargrass.siegel import (
     block_decompose,
     chart_slots,
     chart_solve,
+    graph_columns,
     mobius,
     mobius_act,
     restricted_character,
@@ -53,6 +56,21 @@ def split3():
 def random_antisymmetric(n, rng, scale=0.5):
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return scale * (A - A.T) / 2
+
+
+def charts(n):
+    return [ChartIndex.of(c) for c in chain.from_iterable(combinations(range(1, n + 1), k)
+                                                            for k in range(n + 1))]
+
+
+def label(S):
+    """A chart as its digits, ``0`` for the empty chart: short test ids."""
+    return "".join(map(str, S.indices)) or "0"
+
+
+#: Every ordered pair of charts of equal parity at n = 1..6.
+EQUAL_PARITY = [(n, S1, S2) for n in range(1, 7) for S1 in charts(n) for S2 in charts(n)
+                if S1.parity() == S2.parity()]
 
 
 class TestChartIndex:
@@ -80,6 +98,16 @@ class TestChartIndex:
     def test_index_beyond_n_rejected_by_chart_slots(self, split3):
         with pytest.raises(DimensionMismatch):
             chart_slots(split3.n, ChartIndex.of((4,)).indices)
+
+    @pytest.mark.parametrize("swapped", [[0], [-1], [1, 1], [10**30]],
+                             ids=["zero", "negative", "repeated", "1e30"])
+    def test_indices_outside_one_to_n_or_repeated_rejected(self, split3, swapped):
+        # raw index lists reach chart_slots without a ChartIndex; none may
+        # wrap around to another slot or overflow numpy's integers
+        with pytest.raises(DimensionMismatch):
+            chart_slots(split3.n, swapped)
+        with pytest.raises(DimensionMismatch):
+            graph_columns(split3, np.zeros((3, 3)), swapped)
 
 
 class TestGraphOperator:
@@ -109,7 +137,7 @@ class TestChartCenters:
     def test_zero_coordinate_reproduces_center(self, split3):
         S = ChartIndex.of((1, 3))
         Z0 = OrthoGraphOperator(np.zeros((3, 3)))
-        cols = chart_graph_columns(split3, S, Z0)
+        cols = graph_columns(split3, Z0.Z, S.indices)
         assert np.allclose(cols, center(split3, S))
 
     def test_chart_polarization_is_isotropic(self, split3):
@@ -146,14 +174,14 @@ class TestFindChart:
             w = Frame.from_columns(u @ split3.lplus)
             res = find_chart(w, split3)
             assert len(res.kernel_dims) - 1 <= 3  # at most n swaps
-            rebuilt = Frame.from_columns(chart_graph_columns(split3, res.S, res.Z))
+            rebuilt = Frame.from_columns(graph_columns(split3, res.Z.Z, res.S.indices))
             assert principal_angle_distance(w, rebuilt) <= 1e-9
 
     def test_accepts_polarization_object(self, split3, rng):
         u = random_orthogonal(6, rng)
         pol = OrthogonalPolarization(split3.space, Frame.from_columns(u @ split3.lplus))
         res = find_chart(pol, split3)
-        rebuilt = Frame.from_columns(chart_graph_columns(split3, res.S, res.Z))
+        rebuilt = Frame.from_columns(graph_columns(split3, res.Z.Z, res.S.indices))
         assert principal_angle_distance(pol.wplus, rebuilt) <= 1e-9
 
     def test_wrong_shape_rejected(self, split3):
@@ -248,6 +276,23 @@ class TestDerivative:
         with pytest.raises(DimensionMismatch):
             transition_derivative(ChartIndex.of(()), ChartIndex.of((1, 2)), Za, np.zeros((3, 3)))
 
+    def test_one_invertibility_check_per_derivative_none_across_parity(self, rng, monkeypatch):
+        calls = []
+        check = linalg.check_invertible
+
+        def counting(*args):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(linalg, "check_invertible", counting)
+        monkeypatch.setattr(orthograss, "check_invertible", counting)
+        Z = OrthoGraphOperator(random_antisymmetric(4, rng))
+        with pytest.raises(OutsideChart):
+            transition(ChartIndex.of(()), ChartIndex.of((1,)), Z)
+        assert len(calls) == 0
+        transition_derivative(ChartIndex.of(()), ChartIndex.of((1, 2)), Z, np.eye(4))
+        assert len(calls) == 1
+
     def test_derivative_outside_chart(self):
         Z0 = OrthoGraphOperator(np.zeros((2, 2)))
         with pytest.raises(OutsideChart):
@@ -340,17 +385,26 @@ class TestOrthoBlocks:
             Z = OrthoGraphOperator(random_antisymmetric(3, rng))
             moved = mobius_act(block_decompose(u, split3, -1), Z)
             assert isinstance(moved, OrthoGraphOperator)
-            expect = Frame.from_columns(u @ chart_graph_columns(split3, empty, Z))
-            got = Frame.from_columns(chart_graph_columns(split3, empty, moved))
+            expect = Frame.from_columns(u @ graph_columns(split3, Z.Z, empty.indices))
+            got = Frame.from_columns(graph_columns(split3, moved.Z, empty.indices))
             assert principal_angle_distance(got, expect) <= 1e-12
 
-    def test_transition_is_the_action_of_its_swap_blocks(self, rng):
-        # {} -> {1, 2} at n = 4 keeps slots 3, 4 and swaps slots 1, 2
-        a, b = np.diag([0.0, 0, 1, 1]), np.diag([1.0, 1, 0, 0])
-        Z = OrthoGraphOperator(random_antisymmetric(4, rng))
-        Z2 = transition(ChartIndex.of(()), ChartIndex.of((1, 2)), Z).Z
-        assert np.array_equal(Z2, mobius(a, b, Z.Z, 1e-10, OutsideChart, "outside"))
+    @pytest.mark.parametrize("n, S1, S2", EQUAL_PARITY,
+                             ids=[f"{n}:{label(S1)}>{label(S2)}" for n, S1, S2 in EQUAL_PARITY])
+    def test_transition_is_the_action_of_its_swap_blocks(self, n, S1, S2):
+        # the dense reference: the paired-block action of the diagonal 0/1
+        # blocks a (keeps the slots whose pairing agrees) and b (swaps the rest)
+        rng = np.random.default_rng([n, len(S1), *S1.indices, *S2.indices])
+        same = np.array([float((j in S1) == (j in S2)) for j in range(1, n + 1)])
+        a, b = np.diag(same), np.diag(1.0 - same)
+        Z = OrthoGraphOperator(random_antisymmetric(n, rng))
+        W = random_antisymmetric(n, rng)
+        psi = mobius(a, b, Z.Z, 1e-10, OutsideChart, "outside")
+        Z2 = transition(S1, S2, Z).Z
+        assert np.array_equal(Z2, psi)
         assert np.array_equal(Z2, mobius_act(PairedBlocks(a, b, sign=-1), Z).Z)
+        dpsi = right_divide(a @ W - psi @ b @ W, a + b @ Z.Z, 1e-10, OutsideChart, "outside")
+        assert np.array_equal(transition_derivative(S1, S2, Z, W), dpsi)
 
     def test_sign_mismatch_is_named(self):
         with pytest.raises(ShapeViolation):

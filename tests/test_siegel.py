@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from polargrass.circle import composition_blocks, mobius_diffeo
+from polargrass.circle import composition_blocks, mobius_diffeo, rotation_diffeo
 from polargrass.errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -278,9 +278,14 @@ def test_action_stays_in_disk_over_seeds(seed):
         lambda: UpperHalfPoint(1j * np.eye(2)),
         lambda: OrthoGraphOperator(np.array([[0.0, 0.5], [-0.5, 0.0]])),
         lambda: composition_blocks(mobius_diffeo(0.1), 4),
+        lambda: standard_triple(2).g,
+        lambda: standard_triple(2).J,
+        lambda: standard_triple(2).report,
+        lambda: rotation_diffeo(0.1),
     ],
     ids=["EigenSplit", "SignedMatrix", "SiegelPoint", "UpperHalfPoint",
-         "OrthoGraphOperator", "CompositionBlocks"],
+         "OrthoGraphOperator", "CompositionBlocks", "BilinearForm", "ComplexStructure",
+         "TripleReport", "CircleDiffeo"],
 )
 def test_array_holding_types_hash_by_identity(make):
     # frozen types over ndarray fields: hash() and == by identity, never a
