@@ -21,10 +21,8 @@ process once the report is flushed, without interpreter teardown.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
-from dataclasses import dataclass
 from typing import NoReturn
 
 import numpy as np
@@ -32,7 +30,6 @@ import numpy as np
 from . import serialize as se
 from .errors import DomainError, FormatError
 from .linalg import (
-    DEFAULT_TOL,
     Frame,
     Tolerances,
     clears,
@@ -53,30 +50,43 @@ CAR_TOL = 1e-12
 MAX_CHART_ATOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Options:
-    """Per-invocation knobs shared by all verbs."""
-
-    tol: Tolerances = DEFAULT_TOL
-    cutoff: int | None = None
-    quadrature: int | None = None
+#: A verb call's tolerances under the name that library callers of
+#: :func:`run_verb` use: ``Options()`` is the default ladder.
+Options = Tolerances
 
 
-def _make_options(tol_eq, tol_spd, cutoff=None, quadrature=None) -> Options:
-    tol = DEFAULT_TOL
-    if tol_eq is not None:
-        tol = dataclasses.replace(tol, eq_tol=float(tol_eq))
-    if tol_spd is not None:
-        tol = dataclasses.replace(tol, spd_tol=float(tol_spd))
-    return Options(tol=tol, cutoff=cutoff, quadrature=quadrature)
+def _options(obj, given) -> tuple[object, Tolerances]:
+    """The input object and tolerances of one verb call, from its flags
+    or its scenario's keys (``given``; an absent key is an unset option).
+
+    ``cutoff``/``quadrature`` become keys of a dict input, overriding its
+    own, in a new dict; a handler refuses them if its input takes no such
+    key.  ``tol_eq``/``tol_spd`` must be numbers, not booleans."""
+    keys = {k: given[k] for k in ("cutoff", "quadrature") if k in given}
+    if keys and isinstance(obj, dict):
+        obj = {**obj, **keys}
+    tol = {}
+    for key, field in (("tol_eq", "eq_tol"), ("tol_spd", "spd_tol")):
+        if key in given:
+            value = given[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise FormatError(f"{key} must be a number, got {value!r}")
+            tol[field] = float(value)
+    return obj, Tolerances(**tol)
 
 
-def _int_option(obj: dict, opts: Options, key: str, default: int, least: int) -> int:
-    """``cutoff``/``quadrature``: the option if set, else the input's key,
-    else ``default``; an integer (not a boolean) of at least ``least``."""
-    value = getattr(opts, key)
-    if value is None:
-        value = obj.get(key, default)
+def _seed(value, what: str) -> int:
+    """A seed as ``numpy.random.default_rng`` takes it: an integer (not a
+    boolean) of at least 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise FormatError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _int_option(obj: dict, key: str, default: int, least: int) -> int:
+    """``cutoff``/``quadrature``: the input's key, else ``default``; an
+    integer (not a boolean) of at least ``least``."""
+    value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise FormatError(f"{key} must be an integer >= {least}, got {value!r}")
     return value
@@ -102,12 +112,12 @@ def _triple_members(obj, present):
     return out
 
 
-def _verb_triple_verify(obj, opts: Options) -> dict:
+def _verb_triple_verify(obj, tol: Tolerances) -> dict:
     """Check the three compatibility identities of (g, J, omega)."""
     from .triples import verify_triple
 
     m = _triple_members(obj, ("g", "J", "omega"))
-    report = verify_triple(m["g"], m["J"], m["omega"], opts.tol)
+    report = verify_triple(m["g"], m["J"], m["omega"], tol)
     return {
         "inputs": {"dim": m["g"].dim},
         "residuals": {**report.residuals, "g_min_eigenvalue": report.g_min_eigenvalue},
@@ -115,7 +125,7 @@ def _verb_triple_verify(obj, opts: Options) -> dict:
     }
 
 
-def _verb_triple_complete(obj, opts: Options) -> dict:
+def _verb_triple_complete(obj, tol: Tolerances) -> dict:
     """Complete two of g/J/omega to a full compatible triple."""
     from .triples import complete_from_g_J, complete_from_g_omega, complete_from_J_omega
 
@@ -128,11 +138,11 @@ def _verb_triple_complete(obj, opts: Options) -> dict:
         )
     m = _triple_members(obj, present)
     if present == ("g", "J"):
-        t = complete_from_g_J(m["g"], m["J"], opts.tol)
+        t = complete_from_g_J(m["g"], m["J"], tol)
     elif present == ("g", "omega"):
-        t = complete_from_g_omega(m["g"], m["omega"], opts.tol)
+        t = complete_from_g_omega(m["g"], m["omega"], tol)
     else:
-        t = complete_from_J_omega(m["J"], m["omega"], opts.tol)
+        t = complete_from_J_omega(m["J"], m["omega"], tol)
     return {
         "inputs": {"dim": t.dim, "given": list(present)},
         "residuals": {**t.report.residuals, "g_min_eigenvalue": t.report.g_min_eigenvalue},
@@ -141,13 +151,13 @@ def _verb_triple_complete(obj, opts: Options) -> dict:
     }
 
 
-def _verb_polarize(obj, opts: Options) -> dict:
+def _verb_polarize(obj, tol: Tolerances) -> dict:
     """Split the complexification of a triple along the J eigenspaces."""
     from .polarization import complexify, eigensplit
 
     t = se.triple_from_json(obj)
     space = complexify(t)
-    split = eigensplit(space, tol=opts.tol)
+    split = eigensplit(space, tol=tol)
     L = split.lplus
     return {
         "inputs": {"dim": t.dim},
@@ -161,16 +171,16 @@ def _verb_polarize(obj, opts: Options) -> dict:
     }
 
 
-def _verb_siegel_member(obj, opts: Options) -> dict:
+def _verb_siegel_member(obj, tol: Tolerances) -> dict:
     """Membership report for a disk or half-space point."""
     from .siegel import halfspace_membership, siegel_membership
 
     mat = se.matrix_from_json(obj, extra=("model",))
     model = obj.get("model")
     if model == "disk":
-        rep = siegel_membership(mat, opts.tol)
+        rep = siegel_membership(mat, tol)
     elif model == "halfspace":
-        rep = halfspace_membership(mat, opts.tol)
+        rep = halfspace_membership(mat, tol)
     else:
         raise FormatError(f'model must be "disk" or "halfspace", got {model!r}')
     return {
@@ -183,7 +193,7 @@ def _verb_siegel_member(obj, opts: Options) -> dict:
     }
 
 
-def _verb_siegel_act(obj, opts: Options) -> dict:
+def _verb_siegel_act(obj, tol: Tolerances) -> dict:
     """Move a disk point by a block symplectic element."""
     from .siegel import BlockSymplectic, UpperHalfPoint, mobius_act
 
@@ -206,14 +216,14 @@ def _verb_siegel_act(obj, opts: Options) -> dict:
     }
 
 
-def _verb_grunsky(obj, opts: Options) -> dict:
+def _verb_grunsky(obj, tol: Tolerances) -> dict:
     """Siegel point of a circle diffeomorphism at a Fourier cutoff."""
     from .circle import GRUNSKY_SYMMETRY_TOL, diffeo_from_spec, grunsky
     from .siegel import CONTRACTION_MARGIN
 
     se._check_keys(obj, ("diffeo",), ("cutoff", "quadrature"))
-    N = _int_option(obj, opts, "cutoff", 32, 1)
-    K = _int_option(obj, opts, "quadrature", 16 * N, 1)
+    N = _int_option(obj, "cutoff", 32, 1)
+    K = _int_option(obj, "quadrature", 16 * N, 1)
     phi = diffeo_from_spec(obj["diffeo"])
     p = grunsky(phi, N, K)
     # the gates the point passed, read again from the numbers it kept
@@ -231,7 +241,7 @@ def _verb_grunsky(obj, opts: Options) -> dict:
     }
 
 
-def _verb_chart_find(obj, opts: Options) -> dict:
+def _verb_chart_find(obj, tol: Tolerances) -> dict:
     """Locate a chart of the orthogonal Grassmannian containing a frame."""
     from .orthograss import find_chart
     from .polarization import standard_split
@@ -255,14 +265,14 @@ def _verb_chart_find(obj, opts: Options) -> dict:
         },
         "pass": within(recon, CHART_RECONSTRUCTION_TOL, 0.0),
         "outputs": {
-            "chart": se.chart_index_to_json(found.S),
+            "chart": list(found.S.indices),
             "Z": se._matrix(found.Z.Z),
             "kernel_dims": list(found.kernel_dims),
         },
     }
 
 
-def _verb_chart_transition(obj, opts: Options) -> dict:
+def _verb_chart_transition(obj, tol: Tolerances) -> dict:
     """Change chart coordinates of a graph operator."""
     from .orthograss import OrthoGraphOperator, transition
 
@@ -277,8 +287,8 @@ def _verb_chart_transition(obj, opts: Options) -> dict:
     return {
         "inputs": {
             "n": Z1.n,
-            "source": se.chart_index_to_json(S1),
-            "target": se.chart_index_to_json(S2),
+            "source": list(S1.indices),
+            "target": list(S2.indices),
         },
         "residuals": {"z_antisymmetry": Z2.symmetry_residual},
         "pass": True,
@@ -286,7 +296,7 @@ def _verb_chart_transition(obj, opts: Options) -> dict:
     }
 
 
-def _verb_fock_car(obj, opts: Options) -> dict:
+def _verb_fock_car(obj, tol: Tolerances) -> dict:
     """Build a Fock representation and verify the anticommutation relations."""
     from .circle import fermion_polarization
     from .fock import basis_residuals, build_fock, check_modes, vacuum_cyclicity_rank
@@ -296,7 +306,7 @@ def _verb_fock_car(obj, opts: Options) -> dict:
         se._check_keys(obj, ("model",), ("cutoff",))
         if obj["model"] != "fermion":
             raise FormatError(f'only the "fermion" model is built in, got {obj["model"]!r}')
-        N = _int_option(obj, opts, "cutoff", 3, 0)
+        N = _int_option(obj, "cutoff", 3, 0)
         check_modes(N + 1)
         pol = fermion_polarization(N)
         inputs = {"model": "fermion", "cutoff": N}
@@ -326,7 +336,7 @@ def _verb_fock_car(obj, opts: Options) -> dict:
     }
 
 
-def _verb_torus_period(obj, opts: Options) -> dict:
+def _verb_torus_period(obj, tol: Tolerances) -> dict:
     """Period point of the lattice (1, tau) with residuals."""
     from .circle import torus_period
 
@@ -359,7 +369,7 @@ _HANDLERS = {
 }
 
 
-def run_verb(verb: str, obj, opts: Options) -> tuple[dict, int]:
+def run_verb(verb: str, obj, tol: Tolerances) -> tuple[dict, int]:
     """Run one verb on a parsed input object.
 
     Returns the finished report plus the exit code; all failures are
@@ -368,7 +378,7 @@ def run_verb(verb: str, obj, opts: Options) -> tuple[dict, int]:
     if verb not in _HANDLERS:
         raise FormatError(f"unknown verb {verb!r}")
     try:
-        report = _HANDLERS[verb](obj, opts)
+        report = _HANDLERS[verb](obj, tol)
     except DomainError as exc:
         return _error_report(verb, exc), 2
     except Exception as exc:  # FormatError, or a malformed structure that slipped past checks
@@ -421,8 +431,7 @@ def run_suite(config: dict, seed_override: int | None = None) -> tuple[dict, int
     if not isinstance(scenarios, list):
         raise FormatError("scenarios must be a list")
     suite_seed = seed_override if seed_override is not None else config.get("seed", 0)
-    if not isinstance(suite_seed, int) or isinstance(suite_seed, bool):
-        raise FormatError(f"seed must be an integer, got {suite_seed!r}")
+    _seed(suite_seed, "seed")
 
     entries = []
     counts = {"total": 0, "passed": 0, "failed": 0, "expected_failures": 0}
@@ -433,20 +442,12 @@ def run_suite(config: dict, seed_override: int | None = None) -> tuple[dict, int
             raise FormatError("scenario name and verb must be strings")
         if ("input" in scen) == ("generate" in scen):
             raise FormatError(f"scenario {name!r} needs exactly one of input/generate")
-        scen_seed = scen.get("seed", suite_seed + pos)
-        if not isinstance(scen_seed, int) or isinstance(scen_seed, bool):
-            raise FormatError(f"scenario {name!r} seed must be an integer")
-        opts = _make_options(
-            scen.get("tol_eq"),
-            scen.get("tol_spd"),
-            cutoff=scen.get("cutoff"),
-            quadrature=scen.get("quadrature"),
-        )
+        scen_seed = _seed(scen.get("seed", suite_seed + pos), f"scenario {name!r} seed")
         if "generate" in scen:
             obj = generate_input(scen["generate"], np.random.default_rng(scen_seed))
         else:
             obj = scen["input"]
-        report, code = run_verb(verb, obj, opts)
+        report, code = run_verb(verb, *_options(obj, scen))
         expected = scen.get("expect_error")
         if expected is not None and not isinstance(expected, str):
             raise FormatError(f"scenario {name!r} expect_error must be a string")
@@ -502,13 +503,13 @@ def _write_out(payload: dict, output_path: str | None, summary: str) -> None:
         sys.stdout.write(text)
 
 
-def _verb_command(verb: str, input_path: str, output_path: str | None, opts: Options) -> int:
+def _verb_command(verb: str, input_path: str, output_path: str | None, given: dict) -> int:
     try:
-        obj = se.load_json(input_path)
+        obj, tol = _options(se.load_json(input_path), given)
     except FormatError as exc:
         _write_out(_error_report(verb, exc), output_path, f"{verb}: error")
         return 1
-    report, code = run_verb(verb, obj, opts)
+    report, code = run_verb(verb, obj, tol)
     report["inputs"]["path"] = str(input_path)
     verdict = "pass" if code == 0 else report.get("error", "fail")
     _write_out(report, output_path, f"{verb}: {verdict}")
@@ -567,12 +568,13 @@ def _parser(prog_name: str | None = None) -> argparse.ArgumentParser:
                 help="overrides the config seed (env: POLARGRASS_SEED)",
             )
             continue
-        sub.add_argument("--tol-eq", type=float)
-        sub.add_argument("--tol-spd", type=float)
+        # an option not given is left off the namespace: see _options
+        sub.add_argument("--tol-eq", type=float, default=argparse.SUPPRESS)
+        sub.add_argument("--tol-spd", type=float, default=argparse.SUPPRESS)
         if verb in ("grunsky", "fock-car"):
-            sub.add_argument("--cutoff", type=int)
+            sub.add_argument("--cutoff", type=int, default=argparse.SUPPRESS)
         if verb == "grunsky":
-            sub.add_argument("--quadrature", type=int)
+            sub.add_argument("--quadrature", type=int, default=argparse.SUPPRESS)
     return parser
 
 
@@ -582,13 +584,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> NoRetur
     if ns.verb == "report-suite":
         code = _report_suite(ns.input_path, ns.output_path, ns.seed)
     else:
-        opts = _make_options(
-            ns.tol_eq,
-            ns.tol_spd,
-            cutoff=getattr(ns, "cutoff", None),
-            quadrature=getattr(ns, "quadrature", None),
-        )
-        code = _verb_command(ns.verb, ns.input_path, ns.output_path, opts)
+        code = _verb_command(ns.verb, ns.input_path, ns.output_path, vars(ns))
     raise SystemExit(code)
 
 

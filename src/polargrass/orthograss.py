@@ -40,6 +40,8 @@ class ChartIndex:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in self.indices):
+            raise FormatError(f"chart indices must be integers, got {self.indices!r}")
         idx = tuple(sorted(set(int(i) for i in self.indices)))
         if len(idx) != len(self.indices):
             raise FormatError("chart indices must be distinct")

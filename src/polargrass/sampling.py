@@ -123,7 +123,7 @@ def generate_input(spec: dict, rng: np.random.Generator) -> dict:
     if extra:
         raise FormatError(f"unknown generate keys {sorted(extra)}")
     n = spec.get("n", 4)
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise FormatError(f"generate size n must be a positive integer, got {n!r}")
 
     if make == "standard_triple":

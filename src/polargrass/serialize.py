@@ -54,7 +54,6 @@ __all__ = [
     "frame_from_json",
     "disk_point_to_json",
     "disk_point_from_json",
-    "chart_index_to_json",
     "chart_index_from_json",
 ]
 
@@ -480,15 +479,9 @@ def disk_point_from_json(obj):
     raise FormatError(f'model must be "disk" or "halfspace", got {model!r}')
 
 
-def chart_index_to_json(S: ChartIndex) -> list:
-    return list(S.indices)
-
-
 def chart_index_from_json(obj) -> ChartIndex:
-    if not isinstance(obj, list) or not all(
-        isinstance(k, int) and not isinstance(k, bool) for k in obj
-    ):
+    if not isinstance(obj, list):
         raise FormatError(f"chart index must be a list of integers, got {obj!r}")
-    from .orthograss import ChartIndex  # loaded by the chart verbs only
+    from .orthograss import ChartIndex  # loaded by the chart verbs only; checks each index
 
     return ChartIndex.of(obj)

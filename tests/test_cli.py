@@ -129,6 +129,17 @@ class TestTripleVerbs:
         assert result.exit_code == 1
         assert report_of(result)["error"] == "FormatError"
 
+    @pytest.mark.parametrize("member, other", [("g", "omega"), ("omega", "g")])
+    def test_a_member_of_the_wrong_kind_is_refused(self, runner, tmp_path, member, other):
+        # a well-formed form of the other kind: g antisymmetric, omega symmetric
+        obj = triple_to_json(standard_triple(2))
+        obj[member] = obj[other]
+        result = invoke(runner, tmp_path, "triple-verify", obj)
+        assert result.exit_code == 1
+        rep = report_of(result)
+        assert rep["error"] == "FormatError"
+        assert f'"{member}" member must have kind' in rep["detail"]
+
 
 class TestInputHandling:
     def test_missing_file(self, runner, tmp_path):
@@ -179,6 +190,18 @@ class TestGeometryVerbs:
         assert result.exit_code == 2
         assert report_of(result)["pass"] is False
 
+    def test_member_follows_tol_spd(self, runner, tmp_path):
+        # min eigenvalue of I - Z*Z is 1.0e-10: above the default 1e-12, below 1e-8
+        obj = {**matrix_to_json(np.diag([np.sqrt(1 - 1e-10), 0.5])), "model": "disk"}
+        assert invoke(runner, tmp_path, "siegel-member", obj).exit_code == 0
+        result = invoke(runner, tmp_path, "siegel-member", obj, "--tol-spd", "1e-8")
+        assert result.exit_code == 2
+        assert report_of(result)["residuals"]["min_eigenvalue"] == pytest.approx(1e-10)
+        scenario = {"name": "edge", "verb": "siegel-member", "input": obj}
+        agg, code = cli.run_suite({"scenarios": [scenario, {**scenario, "tol_spd": 1e-8}]})
+        assert code == 2
+        assert [s["status"] for s in agg["scenarios"]] == ["passed", "failed"]
+
     def test_member_needs_model(self, runner, tmp_path):
         result = invoke(runner, tmp_path, "siegel-member", matrix_to_json(np.eye(1) * 0.1))
         assert result.exit_code == 1
@@ -194,6 +217,14 @@ class TestGeometryVerbs:
         rep = report_of(result)
         assert rep["outputs"]["Z"]["model"] == "disk"
         assert all(re == 0.0 and im == 0.0 for re, im in rep["outputs"]["Z"]["data"])
+
+    def test_act_refuses_a_halfspace_point(self, runner, tmp_path):
+        payload = generate_input({"make": "symplectic_action", "n": 2}, np.random.default_rng(0))
+        payload["Z"] = generate_input({"make": "halfspace_point", "n": 2}, np.random.default_rng(1))
+        result = invoke(runner, tmp_path, "siegel-act", payload)
+        assert result.exit_code == 1
+        rep = report_of(result)
+        assert rep["error"] == "FormatError" and "disk-model points" in rep["detail"]
 
     def test_act_with_singular_block_is_a_named_error(self, runner, tmp_path):
         payload = {
@@ -487,6 +518,17 @@ class TestFockVerb:
         assert result.exit_code == 2
         assert report_of(result)["error"] == "DimensionGuard"
 
+    def test_cutoff_on_the_triple_form_is_refused(self, runner, tmp_path):
+        # the triple+frame form takes no cutoff, so the flag is an unknown key
+        t = standard_triple(1)
+        frame = Frame(eigensplit(complexify(t)).lplus)
+        payload = {"triple": triple_to_json(t), "frame": frame_to_json(frame)}
+        assert invoke(runner, tmp_path, "fock-car", payload).exit_code == 0
+        result = invoke(runner, tmp_path, "fock-car", payload, "--cutoff", "3")
+        assert result.exit_code == 1
+        rep = report_of(result)
+        assert rep["error"] == "FormatError" and "cutoff" in rep["detail"]
+
     @pytest.mark.parametrize("cutoff", [True, False, -1, 2.5, "3"])
     def test_cutoff_must_be_an_integer(self, runner, tmp_path, cutoff):
         result = invoke(runner, tmp_path, "fock-car", {"model": "fermion", "cutoff": cutoff})
@@ -580,6 +622,29 @@ class TestReportSuite:
         assert result.exit_code == 2
         assert json.loads(result.output)["scenarios"][0]["status"] == "unexpected-pass"
 
+    def test_scenario_cutoff_on_a_verb_without_one_is_refused(self):
+        scenario = {"name": "t", "verb": "triple-verify",
+                    "generate": {"make": "standard_triple", "n": 2}}
+        agg, code = cli.run_suite({"scenarios": [scenario, {**scenario, "cutoff": 4}]})
+        assert code == 2
+        assert [s["status"] for s in agg["scenarios"]] == ["passed", "failed"]
+        assert agg["scenarios"][1]["report"]["error"] == "FormatError"
+
+    def test_options_do_not_change_the_config(self):
+        rotation = {"diffeo": {"kind": "rotation", "delta": 0.3}, "cutoff": 8}
+        config = {"scenarios": [{"name": "g", "verb": "grunsky", "cutoff": 4, "input": rotation}]}
+        before = json.dumps(config)
+        agg, code = cli.run_suite(config)
+        assert code == 0 and agg["scenarios"][0]["report"]["inputs"]["cutoff"] == 4
+        assert json.dumps(config) == before
+
+    @pytest.mark.parametrize("n", [True, False])
+    def test_generate_n_must_be_a_positive_integer(self, n):
+        scenario = {"name": "p", "verb": "siegel-member",
+                    "generate": {"make": "siegel_point", "n": n}}
+        with pytest.raises(FormatError, match="generate size n"):
+            cli.run_suite({"scenarios": [scenario]})
+
     def test_unknown_scenario_key_rejected(self, runner, tmp_path):
         config = {"scenarios": [{"name": "x", "verb": "torus-period", "payload": {}}]}
         path = tmp_path / "cfg.json"
@@ -614,8 +679,19 @@ class TestConfigSchemas:
         jsonschema.validate(config, schema("suite_config.v1.json"))
         agg, code = cli.run_suite(config)
         assert code == 0 and agg["scenarios"][0]["status"] == "passed"
-        report, _ = cli.run_verb("fock-car", {"model": "fermion"}, cli.Options(cutoff=0))
+        report, _ = cli.run_verb("fock-car", {"model": "fermion", "cutoff": 0}, cli.Options())
         assert report["outputs"]["modes"] == 1
+
+    @pytest.mark.parametrize("where", ["config", "scenario"])
+    def test_a_negative_seed_is_refused_by_schema_and_builder(self, where):
+        # refused even where no generate recipe would read it
+        scenario = {"name": "t", "verb": "torus-period", "input": {"tau": [0.5, 0.5]}}
+        config = {"seed": -1, "scenarios": [scenario]} if where == "config" else {
+            "scenarios": [{**scenario, "seed": -1}]}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(config, schema("suite_config.v1.json"))
+        with pytest.raises(FormatError, match="non-negative integer"):
+            cli.run_suite(config)
 
     def test_cutoff_zero_grunsky_scenario_fails_at_run_time(self):
         config = {
@@ -817,6 +893,37 @@ class TestColdProcess:
         proc = cold(args, env={"POLARGRASS_SEED": "99"}, capture_output=True)
         assert (proc.returncode, proc.stdout) == warm([*args, "--seed", "99"])
         assert proc.returncode == 0 and json.loads(proc.stdout)["seed"] == 99
+
+    GENERATED = {"name": "disk", "verb": "siegel-member",
+                 "generate": {"make": "siegel_point", "n": 2}}
+    #: (verb and flags, input object or None for the shipped suite)
+    OPTION_ERRORS = {
+        "tol-eq-negative": (["torus-period", "--tol-eq=-1"], {"tau": [0.5, 0.5]}),
+        "tol-eq-zero": (["torus-period", "--tol-eq=0"], {"tau": [0.5, 0.5]}),
+        "tol-eq-nan": (["torus-period", "--tol-eq=nan"], {"tau": [0.5, 0.5]}),
+        "tol-eq-inf": (["torus-period", "--tol-eq=inf"], {"tau": [0.5, 0.5]}),
+        "tol-spd-negative": (["torus-period", "--tol-spd=-1"], {"tau": [0.5, 0.5]}),
+        "scenario-tol-eq-string": (["report-suite"], {"scenarios": [{**GENERATED, "tol_eq": "abc"}]}),
+        "scenario-tol-eq-list": (["report-suite"], {"scenarios": [{**GENERATED, "tol_eq": [1]}]}),
+        "scenario-tol-spd-string": (["report-suite"], {"scenarios": [{**GENERATED, "tol_spd": "x"}]}),
+        "config-seed": (["report-suite"], {"seed": -1, "scenarios": [GENERATED]}),
+        "scenario-seed": (["report-suite"], {"scenarios": [{**GENERATED, "seed": -3}]}),
+        "seed-flag": (["report-suite", "--seed=-1"], None),
+        "seed-env": (["report-suite"], None),
+    }
+
+    @pytest.mark.parametrize("case", list(OPTION_ERRORS))
+    def test_a_bad_option_value_is_a_format_error_report(self, tmp_path, case):
+        args, payload = self.OPTION_ERRORS[case]
+        path = SHIPPED_SUITE
+        if payload is not None:
+            path = tmp_path / "input.json"
+            save_json(payload, path)
+        env = {"POLARGRASS_SEED": "-1"} if case == "seed-env" else {}
+        proc = cold([args[0], "--input", str(path), *args[1:]], env=env, capture_output=True)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["error"] == "FormatError"
+        assert b"Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "verb, payload",

@@ -7,6 +7,11 @@ replaced by a boolean and by 0, each number replaced by 1e300, each
 to each object.  A mutated input may still pass; what is checked is that a
 failure names a ``PolargrassError`` subclass and that the report, like
 every report, serializes.
+
+The options around each input are mutated too: the suite's seed, and each
+scenario's seed, tolerances, cutoff, quadrature and generated size.  A
+mutated suite either runs to a ``suite.v1`` object or raises
+``FormatError``, which ``report-suite`` writes as its error object.
 """
 
 import copy
@@ -104,4 +109,52 @@ def test_mutated_inputs_fail_by_name(pos):
             bad.append(f"{label}: {report['error']}: {report['detail']}")
         assert (code == 0) == report["pass"], label
     assert count > 0
+    assert bad == []
+
+
+BAD_SEEDS = (-1, True, "x")
+BAD_TOLS = (-1, 0, "x", [1], True)
+BAD_SIZES = (True, -1, "x")
+
+
+def _scenario_mutations(scen):
+    for key, values in (("seed", BAD_SEEDS), ("tol_eq", BAD_TOLS), ("tol_spd", BAD_TOLS),
+                        ("cutoff", BAD_SIZES), ("quadrature", BAD_SIZES)):
+        for value in values:
+            yield f"{key}={value!r}", {**scen, key: value}
+    if "generate" in scen:
+        for value in (True, 0):
+            yield f"generate.n={value!r}", {**scen, "generate": {**scen["generate"], "n": value}}
+
+
+def _suite_problem(config):
+    """None if ``run_suite`` gives a serializable suite or raises
+    ``FormatError``; else what it raised."""
+    try:
+        aggregate, _ = cli.run_suite(config)
+    except errors.FormatError:
+        return None
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    dumps_canonical(aggregate)
+    return None
+
+
+@pytest.mark.parametrize("seed", BAD_SEEDS)
+def test_mutated_suite_seed_fails_by_name(seed):
+    assert _suite_problem({**SUITE, "seed": seed}) is None
+
+
+@pytest.mark.filterwarnings("ignore")
+@pytest.mark.parametrize(
+    "pos", range(len(SUITE["scenarios"])), ids=[s["name"] for s in SUITE["scenarios"]]
+)
+def test_mutated_scenario_options_fail_by_name(pos):
+    scen = SUITE["scenarios"][pos]
+    # alone at position 0, the scenario keeps the seed it has in the suite
+    bad = []
+    for label, mutated in _scenario_mutations(scen):
+        problem = _suite_problem({"seed": SUITE["seed"] + pos, "scenarios": [mutated]})
+        if problem is not None:
+            bad.append(f"{label}: {problem}")
     assert bad == []

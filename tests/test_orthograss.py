@@ -90,6 +90,15 @@ class TestChartIndex:
         with pytest.raises(FormatError):
             ChartIndex.of((-1,))
 
+    @pytest.mark.parametrize("index", [1.5, True, "1"], ids=["float", "bool", "string"])
+    def test_non_integer_rejected(self, index):
+        with pytest.raises(FormatError):
+            ChartIndex.of((index,))
+
+    def test_numpy_integer_accepted(self):
+        S = ChartIndex.of((np.int64(2),))
+        assert S.indices == (2,) and type(S.indices[0]) is int
+
     def test_parity(self):
         assert ChartIndex.of(()).parity() == 0
         assert ChartIndex.of((2,)).parity() == 1

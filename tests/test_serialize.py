@@ -20,7 +20,6 @@ from polargrass import serialize
 from polargrass.serialize import (
     _entry,
     chart_index_from_json,
-    chart_index_to_json,
     disk_point_from_json,
     disk_point_to_json,
     dumps_canonical,
@@ -514,7 +513,7 @@ class TestFramesAndPoints:
 
     def test_chart_index_round_trip(self):
         S = ChartIndex.of((3, 1))
-        assert chart_index_to_json(S) == [1, 3]
+        assert list(S.indices) == [1, 3]
         assert chart_index_from_json([1, 3]).indices == (1, 3)
 
     def test_chart_index_rejections(self):
