@@ -47,6 +47,9 @@ from .triples import CompatibleTriple, planar_triple
 _BLOCK_RCOND = 1e-8
 _SINGULAR_BLOCK = "diagonal block of the composition operator is singular"
 
+#: Relative sigma_min floor for the denominator of :meth:`CompositionBlocks.transform`.
+TRANSFORM_RCOND = 1e-10
+
 #: Largest ``N * max(K, 2N)`` accepted by :func:`composition_operator`: the
 #: cap bounds the quadrature's work, O(N K log K), and its (2N)^2 complex
 #: result, 64 N^2 bytes (32 MiB at N = 724, the largest cutoff with the
@@ -330,11 +333,13 @@ class CompositionBlocks:
     only holds band-limited: ``identity_residual(M)`` measures it on the
     lowest M modes and decays as the cutoff grows past M.  The full-
     corner deviation ``identity_residual(N)`` is O(1) by design and is
-    reported, not hidden.
+    reported, not hidden.  ``a_inv`` is ``a^{-1}`` from the gate of
+    :func:`composition_blocks`, and None for blocks built directly.
     """
 
     a: np.ndarray
     b: np.ndarray
+    a_inv: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -347,7 +352,8 @@ class CompositionBlocks:
 
     def transform(self, Z: np.ndarray) -> np.ndarray:
         """Disk action :func:`polargrass.siegel.mobius` of the raw blocks."""
-        return mobius(self.a, self.b, Z, 1e-10, BlockSingular, "transform denominator is singular")
+        return mobius(self.a, self.b, Z, TRANSFORM_RCOND, BlockSingular,
+                      "transform denominator is singular")
 
 
 def composition_blocks(phi: CircleDiffeo, N: int, K: int | None = None) -> CompositionBlocks:
@@ -358,7 +364,9 @@ def composition_blocks(phi: CircleDiffeo, N: int, K: int | None = None) -> Compo
     sqrt(j/k)`` (j, k = 1..N) for ``C = composition_operator(phi, N, K)``:
     slices of C under a diagonal rescale.  They equal the leading column
     blocks of C taken to real coordinates and compressed into the eigensplit
-    of ``BosonModel(N)``, without that route's 2N x 2N products.
+    of ``BosonModel(N)``, without that route's 2N x 2N products.  The gate
+    on ``a`` (:func:`polargrass.linalg.check_invertible`) leaves its inverse
+    in ``a_inv``.
 
     Raises
     ------
@@ -370,8 +378,7 @@ def composition_blocks(phi: CircleDiffeo, N: int, K: int | None = None) -> Compo
     scale = root[:, None] / root[None, :]
     a = C[N - 1::-1, N - 1::-1] * scale
     b = C[N:, N - 1::-1] * scale
-    check_invertible(a, _BLOCK_RCOND, BlockSingular, _SINGULAR_BLOCK)
-    return CompositionBlocks(a, b)
+    return CompositionBlocks(a, b, check_invertible(a, _BLOCK_RCOND, BlockSingular, _SINGULAR_BLOCK))
 
 
 #: Relative symmetry budget of a Grunsky point, which carries quadrature and
@@ -393,8 +400,8 @@ def grunsky(phi: CircleDiffeo, N: int, K: int | None = None) -> SiegelPoint:
         If the diagonal block is singular (pathological input).
     """
     blocks = composition_blocks(phi, N, K)
-    # composition_blocks has already guarded a against singularity
-    Z = np.linalg.solve(blocks.a.T, blocks.b.T).T
+    Z = blocks.b @ blocks.a_inv
+    del blocks  # not held through the point's validation
     return SiegelPoint(Z, atol=GRUNSKY_SYMMETRY_TOL)
 
 

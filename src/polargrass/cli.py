@@ -493,57 +493,64 @@ def run_suite(config: dict, seed_override: int | None = None) -> tuple[dict, int
 # command line
 
 
-def _write_out(payload: dict, output_path: str | None, summary: str) -> None:
+def _write_out(payload: dict, output_path: str | None, summary: str, code: int, failed) -> int:
+    """Write ``payload`` to stdout, or to ``output_path`` with ``summary`` on
+    stdout, and return ``code``.  A path that cannot be written gets the
+    report ``failed(FormatError)`` on stdout instead, and code 1."""
     text = se.dumps_canonical(payload)
-    if output_path:
+    if not output_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(output_path, "w", encoding="ascii") as fh:
             fh.write(text)
-        sys.stdout.write(summary + "\n")
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stdout.write(se.dumps_canonical(failed(FormatError(f"cannot write {output_path}: {exc}"))))
+        return 1
+    sys.stdout.write(summary + "\n")
+    return code
 
 
 def _verb_command(verb: str, input_path: str, output_path: str | None, given: dict) -> int:
+    def failed(exc: Exception) -> dict:
+        return _error_report(verb, exc)
+
     try:
         obj, tol = _options(se.load_json(input_path), given)
     except FormatError as exc:
-        _write_out(_error_report(verb, exc), output_path, f"{verb}: error")
-        return 1
+        return _write_out(failed(exc), output_path, f"{verb}: error", 1, failed)
     report, code = run_verb(verb, obj, tol)
     report["inputs"]["path"] = str(input_path)
     verdict = "pass" if code == 0 else report.get("error", "fail")
-    _write_out(report, output_path, f"{verb}: {verdict}")
-    return code
+    return _write_out(report, output_path, f"{verb}: {verdict}", code, failed)
 
 
 def _report_suite(input_path: str, output_path: str | None, seed: int | None) -> int:
     """Run a scenario suite config and aggregate the reports."""
+
+    def failed(exc: Exception) -> dict:
+        return {
+            "schema": SUITE_SCHEMA,
+            "seed": seed if seed is not None else 0,
+            "pass": False,
+            "counts": {"total": 0, "passed": 0, "failed": 0, "expected_failures": 0},
+            "scenarios": [],
+            "error": exc.name,
+            "detail": str(exc),
+        }
+
     try:
         config = se.load_json(input_path)
         aggregate, code = run_suite(config, seed_override=seed)
     except FormatError as exc:
-        _write_out(
-            {
-                "schema": SUITE_SCHEMA,
-                "seed": seed if seed is not None else 0,
-                "pass": False,
-                "counts": {"total": 0, "passed": 0, "failed": 0, "expected_failures": 0},
-                "scenarios": [],
-                "error": exc.name,
-                "detail": str(exc),
-            },
-            output_path,
-            "report-suite: error",
-        )
-        return 1
+        return _write_out(failed(exc), output_path, "report-suite: error", 1, failed)
     c = aggregate["counts"]
     summary = (
         f"report-suite: {'pass' if aggregate['pass'] else 'FAIL'} "
         f"({c['passed']} passed, {c['expected_failures']} expected failures, "
         f"{c['failed']} failed)"
     )
-    _write_out(aggregate, output_path, summary)
-    return code
+    return _write_out(aggregate, output_path, summary, code, failed)
 
 
 def _parser(prog_name: str | None = None) -> argparse.ArgumentParser:

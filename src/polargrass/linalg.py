@@ -11,6 +11,14 @@ passes when it is at most ``rel * max(1, scale)`` (:func:`within`), a margin
 when it is finite and above that (:func:`clears`); both fail for a NaN and
 for a non-finite ``scale``.  Their raising forms :func:`check_within` and
 :func:`check_clears` return the number they checked, for objects to keep.
+
+Invertibility is the margin ``sigma_min`` relative to ``sigma_max``.
+:func:`check_invertible` proves it from the one LU that also gives the
+inverse, through the bounds ``sigma_min >= 1/||a^{-1}||_F`` and ``sigma_max
+<= ||a||_F`` (Higham, ch. 15; ``sqrt(||.||_1 ||.||_inf)`` where it is
+tighter), and takes a values-only SVD only where those bounds cannot decide.
+It returns the inverse, so a guarded quotient (:func:`right_divide`) costs
+one LU and one product.
 """
 
 from __future__ import annotations
@@ -136,21 +144,48 @@ def check_symmetry(Z, sign: float, rel: float, error: type, what: str) -> float:
     return check_within(symmetry_deviation(Z, sign), rel, hs_norm(Z), error, what)
 
 
-def check_invertible(a, rel: float, error: type, what: str) -> float:
-    """``sigma_min(a)``, gated to clear ``rel`` relative to ``sigma_max(a)``, both
-    from one SVD; a non-finite value or an SVD that fails counts as singular."""
+def _two_norm_bound(a) -> float:
+    """An upper bound on ``||a||_2``: the smaller of ``||a||_F`` and
+    ``sqrt(||a||_1 ||a||_inf)`` (Higham, ch. 6)."""
+    mags = np.abs(a)
+    one, inf = float(mags.sum(axis=0).max()), float(mags.sum(axis=1).max())
+    return min(hs_norm(mags), math.sqrt(one * inf))
+
+
+def check_invertible(a, rel: float, error: type, what: str) -> np.ndarray:
+    """``a^{-1}``, once ``sigma_min(a)`` is shown to clear ``rel`` relative to
+    ``sigma_max(a)``; else raise ``error`` naming ``sigma_min``.
+
+    One LU gives the inverse and, mostly, the proof: since ``sigma_min >=
+    1/||a^{-1}||_F`` and ``sigma_max <= ||a||_F``, the gate holds when
+    ``1/||a^{-1}||_F`` clears ``rel`` relative to ``||a||_F``, and failing
+    that when the same holds with :func:`_two_norm_bound` for both norms.
+    Only when neither decides, or the LU fails, does a values-only SVD
+    decide; a non-finite value or an SVD that fails counts as singular.
+    """
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # an exactly singular pivot: the SVD shows it
+        inv = None
+    if inv is not None and inv.size and (
+        clears(1.0 / hs_norm(inv), rel, hs_norm(a))
+        or clears(1.0 / _two_norm_bound(inv), rel, _two_norm_bound(a))
+    ):
+        return inv
     try:
         svals = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise error(f"{what} ({exc})") from exc
+    except np.linalg.LinAlgError:
+        svals = np.array([np.nan])
     smin, smax = (float(svals.min()), float(svals.max())) if svals.size else (0.0, 0.0)
-    return check_clears(smin, rel, smax, error, f"{what}: sigma_min")
+    check_clears(smin, rel, smax, error, f"{what}: sigma_min")
+    if inv is None:
+        raise error(f"{what}: sigma_min ({smin:.3e}), but the LU hit a zero pivot")
+    return inv
 
 
 def right_divide(num, den, rel: float, error: type, what: str) -> np.ndarray:
-    """``num @ inv(den)``, after :func:`check_invertible` on ``den``."""
-    check_invertible(den, rel, error, what)
-    return np.linalg.solve(den.T, num.T).T
+    """``num @ inv(den)``, the inverse from :func:`check_invertible` on ``den``."""
+    return num @ check_invertible(den, rel, error, what)
 
 
 def min_eig_hermitian(a) -> float:

@@ -132,6 +132,10 @@ def _pivot(S1: ChartIndex, S2: ChartIndex, Z: np.ndarray) -> tuple[np.ndarray, .
     return keep, np.where(keep, Z, eye), np.where(keep, eye, Z)
 
 
+#: Relative sigma_min floor for the denominator D of a chart change.
+TRANSITION_RCOND = 1e-10
+
+
 def transition(S1: ChartIndex, S2: ChartIndex, Z1: OrthoGraphOperator) -> OrthoGraphOperator:
     """Chart change ``Z1 -> N D^{-1}`` with N and D of :func:`_pivot`, the
     principal pivot transform of Z1 on the swapped slots.  For S1 = S2 the
@@ -147,7 +151,7 @@ def transition(S1: ChartIndex, S2: ChartIndex, Z1: OrthoGraphOperator) -> OrthoG
         parity, which is refused before any solve.
     """
     _, num, den = _pivot(S1, S2, Z1.Z)
-    Z2 = right_divide(num, den, 1e-10, OutsideChart,
+    Z2 = right_divide(num, den, TRANSITION_RCOND, OutsideChart,
                       f"target chart {S2.indices} does not contain the point")
     return OrthoGraphOperator(Z2, atol=max(Z1.atol, 1e-10))
 
@@ -160,16 +164,17 @@ def transition_derivative(
     For ``Psi(Z) = N D^{-1}`` (:func:`transition`) the derivative in
     direction W is ``[K W - Psi(Z1) (I - K) W] D^{-1}``, K the projection
     onto the kept slots; complex-linearity in W is what
-    :func:`holomorphy_check` verifies numerically.
+    :func:`holomorphy_check` verifies numerically.  Both quotients use the
+    one ``D^{-1}`` of the gate.
     """
     W = as_matrix(direction, square=True)
     if W.shape[0] != Z1.n:
         raise DimensionMismatch("direction size does not match the point")
     keep, num, den = _pivot(S1, S2, Z1.Z)
-    check_invertible(den, 1e-10, OutsideChart,
-                     f"target chart {S2.indices} does not contain the point")
-    psi = np.linalg.solve(den.T, num.T).T
-    return np.linalg.solve(den.T, (keep * W - (psi * ~keep.T) @ W).T).T
+    den_inv = check_invertible(den, TRANSITION_RCOND, OutsideChart,
+                               f"target chart {S2.indices} does not contain the point")
+    psi = num @ den_inv
+    return (keep * W - (psi * ~keep.T) @ W) @ den_inv
 
 
 @dataclass(frozen=True)

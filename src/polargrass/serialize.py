@@ -66,11 +66,11 @@ _FORM_KINDS = ("symmetric", "antisymmetric")
 _PAIR = "[%.17g,%.17g]"
 
 #: Matrices with fewer doubles than this are written by ``%`` alone.  Measured
-#: on a 2-vCPU x86-64 machine: at 4096 doubles the array route takes 0.9 ms
-#: against 2.1 ms for ``%``, but its tables take 2-6 ms to build once, which
-#: the small verbs' largest matrices (2048 doubles, a 32x32 complex matrix)
-#: would not win back in a one-verb process.
-ARRAY_ROUTE_MIN = 4096
+#: on a 2-vCPU x86-64 machine with the tables built, ``%`` against the array
+#: route: 0.097/0.151 ms at 128 doubles, 0.154/0.175 ms at 192, 0.196/0.161 ms
+#: at 256 and 0.228/0.139 ms at 512.  A process that writes a matrix this
+#: large builds the tables once, in about 3 ms.
+ARRAY_ROUTE_MIN = 256
 
 #: Doubles per block of the array route, which bounds its scratch memory.
 _BLOCK = 16384
@@ -78,13 +78,22 @@ _BLOCK = 16384
 #: Decimal exponents ``floor(log10 |x|)`` of the nonzero finite doubles.
 _K_MIN, _K_MAX = -324, 308
 
-#: Bound on the error of ``v = |x| 10^(16 - k)`` computed in ``longdouble``
-#: with unit roundoff u: the table entry (from an integer of 127 or more bits)
-#: and the product are each rounded once, an error of at most
-#: (2u + u^2 + 2^-126) v on v <= 1e17 + 1, which the 0.1 % added to 2u 1e17
-#: covers for any u >= 2^-113.  Where ``longdouble`` is a plain double this
-#: exceeds 1/2 and every entry falls back.
-_DELTA = 2.002 * float(np.finfo(np.longdouble).eps) / 2 * 1e17
+#: Entries of decade ``k >= _PRESCALE_K`` are scaled by ``2^-_PRESCALE`` and
+#: those of ``k <= -_PRESCALE_K`` by ``2^_PRESCALE`` (their powers of ten the
+#: other way), so that every operand of Dekker's product stays in
+#: ``[2^-1022, 2^996)``, where it is exact.
+_PRESCALE_K, _PRESCALE = 270, 192
+
+#: Veltkamp's splitter: ``c = _SPLIT x`` and ``c - (c - x)`` keep the high
+#: 26 bits of a double ``x`` (Dekker, Numer. Math. 18, 1971).
+_SPLIT = 2.0**27 + 1
+
+#: Bound on the error of ``v = |x| 10^(16 - k)`` as ``hi + lo`` with unit
+#: roundoff u = 2^-53: the table's power and rest sum to within u^2 of the
+#: power, the product of ``|x|`` and the rest and the sum into ``lo`` add at
+#: most 3u^2 v, and splitting off the carry is exact; 4u^2 v is 4.9e-15 on
+#: v <= 1e17 + 1, which 1e-14 covers.
+_DELTA = 1e-14
 
 
 def _word(text: bytes) -> int:
@@ -97,29 +106,40 @@ def _word(text: bytes) -> int:
 _SEPARATORS = np.array([_word(b"\0" * 5 + b","), _word(b"\0" * 5 + b"],[")], dtype="<u8")
 
 
+def _halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of ``x`` into two doubles of at most 26 significant
+    bits that sum to it, so that their pairwise products are exact."""
+    c = _SPLIT * x
+    high = c - (c - x)
+    return high, x - high
+
+
 @functools.cache
 def _tables():
     """The array route's tables, built on first use.
 
-    ``powers[K_MAX - k]`` is ``10^(16 - k)`` in ``longdouble``, rounded once
-    from an exact integer ``n 2^-s`` of 127 or 128 bits; ``groups`` holds the 4-digit
-    ASCII groups, then the same with trailing zeros as NUL; ``heads`` the
-    sign and leading ``0.000`` by ``(negative, length)``; ``exponents`` the
-    ``e+XX`` text by ``k - K_MIN + 1``, with index 0 for none.
+    ``powers[:, K_MAX - k]`` holds, for decade k and its prescale ``2^s``:
+    ``2^s``; ``p = 10^(16 - k) 2^-s`` correctly rounded; the two
+    :func:`_halves` of p; and the rest ``10^(16 - k) 2^-s - p`` correctly
+    rounded, each from exact integers.  ``groups`` holds the 4-digit ASCII
+    groups, then the same with trailing zeros as NUL; ``heads`` the sign and
+    leading ``0.000`` by ``(negative, length)``; ``exponents`` the ``e+XX``
+    text by ``k - K_MIN + 1``, with index 0 for none.
     """
-    scaled = []
-    for e in range(16 - _K_MAX, 16 - _K_MIN + 1):
-        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
-        s = 127 - num.bit_length() + den.bit_length()  # so that 2^126 < n < 2^128
-        n = (num << s) // den if s >= 0 else num // (den << -s)
-        scaled.append((n >> 64, n & (2**64 - 1), s))
-    hi, lo, s = zip(*scaled)
-    s = np.array(s)
-    # both halves are exact in longdouble; their sum is the one rounding
-    powers = np.ldexp(np.array(hi, np.uint64).astype(np.longdouble), 64 - s) + np.ldexp(
-        np.array(lo, np.uint64).astype(np.longdouble), -s
-    )
-    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+    pow10 = [1]
+    for _ in range(16 - _K_MIN):
+        pow10.append(10 * pow10[-1])
+    rows = []
+    for k in range(_K_MAX, _K_MIN - 1, -1):
+        s = _PRESCALE if k <= -_PRESCALE_K else -_PRESCALE if k >= _PRESCALE_K else 0
+        e = 16 - k
+        num, den = pow10[max(e, 0)] << max(-s, 0), pow10[max(-e, 0)] << max(s, 0)
+        p = num / den  # int division rounds correctly
+        m, q = p.as_integer_ratio()
+        rows.append((2.0**s, p, (num * q - m * den) / (den * q)))
+    scale, p, rest = np.array(rows).T
+    powers = np.stack([scale, p, *_halves(p), rest])
+    digits = (np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))).copy()
     kept = np.logical_or.accumulate(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1]
     groups = np.concatenate([digits, digits * kept]).view("<u4").reshape(-1)
     heads = np.array([_word(sign + b"0.000"[:n]) for sign in (b"", b"-") for n in range(6)],
@@ -137,60 +157,84 @@ def _decade(ax: np.ndarray) -> np.ndarray:
         return np.floor(np.log10(ax))
 
 
+def _digits(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ok, digits, k)`` for finite doubles: where ``ok``, ``%.17g`` writes
+    ``x`` as the 17 digits ``digits`` (int64) with decimal exponent ``k``.
+
+    With ``k = floor(log10 |x|)`` and ``v = |x| 10^(16 - k)``, the digits are
+    the integer nearest v unless v lies within ``_DELTA`` of a tie, and ``v >=
+    1e16`` and digits ``<= 1e17`` confirm k (``1e17`` rolls over to ``1e16``
+    at ``k + 1``).  v is a double-double ``hi + lo``: Dekker's exact product
+    of the prescaled ``|x|`` and the table's power, plus the power's rest
+    times ``|x|``.  Since ``hi >= 2^53`` is an integer, the digits are ``hi``
+    plus the integer nearest ``lo``.  A zero has digits 0 at k = 0.  Not
+    ``ok`` are the entries near a tie, any whose decade is not confirmed, and
+    those ``%.17g`` writes with digits before the point (``10 <= |x| < 1e17``).
+    """
+    powers = _tables()[0]
+    ax = np.abs(flat)
+    k = _decade(ax)
+    ok = (k >= _K_MIN) & (k <= _K_MAX)
+    scale, p, p1, p2, rest = np.take(powers, np.where(ok, _K_MAX - k, 0).astype(np.intp), axis=1)
+    a = ax * scale  # exact
+    hi = a * p
+    a1, a2 = _halves(a)
+    lo = ((a1 * p1 - hi) + a1 * p2 + a2 * p1) + a2 * p2 + a * rest
+    carry = np.rint(lo)
+    frac = lo - carry  # exact: v is digits + frac
+    digits = np.where(ok, hi, 0.0).astype(np.int64) + carry.astype(np.int64)
+    zero = ax == 0.0
+    ok &= (digits > 10**16) | ((digits == 10**16) & (frac >= 0.0))
+    ok &= digits <= 10**17
+    ok = (ok | zero) & (np.abs(frac) < 0.5 - _DELTA)
+    roll = digits == 10**17
+    digits[roll] = 10**16
+    k = np.where(ok & ~zero, k, 0).astype(np.int64) + roll
+    ok &= (k < 1) | (k > 16)
+    return ok, digits, k
+
+
 def _array_block(flat: np.ndarray) -> str:
     """The text of an even number of finite doubles ``re, im, re, im, ...``,
     every pair's ``[`` left to the text before it and its ``],[`` written.
 
-    Each entry is decided in numpy when its 17 digits are certain: with
-    ``k = floor(log10 |x|)`` and ``v = |x| 10^(16 - k)``, the digits are
-    ``rint(v)`` unless v lies within ``_DELTA`` of a tie, and ``v >= 1e16``
-    and ``rint(v) <= 1e17`` confirm k (``1e17`` rolls over to ``1e16`` at
-    ``k + 1``).  It is laid out in four 8-byte words, NUL where ``%.17g``
-    writes nothing: sign, leading ``0.000``, first digit and point | the 16
-    further digits | exponent and separator.  Zeros, entries near a tie or
-    outside the tables, and those ``%.17g`` writes with digits before the
-    point (``10 <= |x| < 1e17``) are written by ``%`` instead.
+    An entry that :func:`_digits` decides is laid out in four 8-byte words,
+    NUL where ``%.17g`` writes nothing: sign, leading ``0.000``, first digit
+    and point | the 16 further digits | exponent and separator.  The rest are
+    written by ``%``.
     """
-    powers, groups, heads, exponents = _tables()
+    _, groups, heads, exponents = _tables()
     n = flat.size
-    ax = np.abs(flat)
-    k = _decade(ax)
-    ok = (k >= _K_MIN) & (k <= _K_MAX)
-    v = ax.astype(np.longdouble) * powers[np.where(ok, _K_MAX - k, 0).astype(np.intp)]
-    r = np.rint(v)
-    ok &= (np.abs(v - r) < 0.5 - _DELTA) & (v >= 1e16) & (r <= 1e17)
-    digits = np.where(ok, r, 1e16).astype(np.int64)
-    roll = digits == 10**17
-    digits[roll] = 10**16
-    k = np.where(ok, k, 0).astype(np.int64) + roll
-    ok &= (k < 1) | (k > 16)
+    ok, digits, k = _digits(flat)
     # four 4-digit groups, each NUL-stripped when the groups after it are zero
-    quads = np.empty((n, 4), np.int64)
+    quads = np.empty((4, n), np.int64)
     lead = digits
     for j in (3, 2, 1, 0):
-        lead, quads[:, j] = np.divmod(lead, 10000)
+        high = lead // 10000
+        quads[j] = lead - high * 10000
+        lead = high
     later_zero = np.full(n, 10000)
     for j in (3, 2, 1, 0):
-        quads[:, j] += later_zero
-        later_zero *= quads[:, j] == 10000
+        quads[j] += later_zero
+        later_zero *= quads[j] == 10000
     # k in [1, 16] has fallen back: sci marks where an exponent is written
     sci = (k < -4) | (k > 0)
     point = sci | (k == 0)
-    head = heads[np.where(point, 0, 1 - k) + 6 * (flat < 0)]
+    head = heads[np.where(point, 0, 1 - k) + 6 * np.signbit(flat)]
     head |= (lead.astype("<u8") + ord("0")) << 48
     head |= (point & (later_zero == 0)).astype("<u8") * (ord(".") << 56)
     words = np.empty((n, 4), "<u8")
     words[:, 0] = head
-    words[:, 1:3] = groups[quads].view("<u8")
+    words.view("<u4")[:, 2:6] = groups[quads].T
     words[:, 3] = exponents[np.where(sci, k - _K_MIN + 1, 0)]
     words[:, 3].reshape(-1, 2)[...] |= _SEPARATORS
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        text = ("%-24.17g" * rest.size % tuple(flat[rest].tolist())).encode("ascii")
+    fallback = np.flatnonzero(~ok)
+    if fallback.size:
+        text = ("%-24.17g" * fallback.size % tuple(flat[fallback].tolist())).encode("ascii")
         chars = words.view(np.uint8)
-        chars[rest, :24] = np.frombuffer(text, np.uint8).reshape(-1, 24)
-        chars[rest, 24:29] = 0  # up to the separator
-    return words.tobytes().translate(None, b" \0").decode("ascii")  # NULs and %-padding
+        chars[fallback, :24] = np.frombuffer(text.replace(b" ", b"\0"), np.uint8).reshape(-1, 24)
+        chars[fallback, 24:29] = 0  # up to the separator
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _array_pairs(flat: np.ndarray) -> list:

@@ -55,6 +55,9 @@ KERNEL_THRESHOLD = 1e-8
 #: Relative budget of the paired-block identities and of a compressed map's pairing.
 BLOCK_TOL = 1e-9
 
+#: Relative sigma_min floor for the block ``a`` of symplectic paired blocks.
+BLOCK_A_RCOND = 1e-12
+
 
 def numerical_rank(svals: np.ndarray) -> int:
     """How many of the singular values ``svals`` lie above
@@ -198,7 +201,7 @@ class PairedBlocks:
             scale = hs_norm(a) ** 2
             check_within(dev1, BLOCK_TOL, scale, NotSymplectic, "a* a - b* b = I fails")
             check_within(dev2, BLOCK_TOL, scale, NotSymplectic, "a^T b = b^T a fails")
-            check_invertible(a, 1e-12, NumericallySingular, "block a is singular")
+            check_invertible(a, BLOCK_A_RCOND, NumericallySingular, "block a is singular")
         else:
             # M* M - I holds each residual block twice, as M holds each block
             scale = math.sqrt(2.0) * math.hypot(hs_norm(a), hs_norm(b))
@@ -292,6 +295,10 @@ def mobius(a, b, Z, rel: float, error: type, what: str) -> np.ndarray:
     return right_divide(b + a.conj() @ Z, a + b.conj() @ Z, rel, error, what)
 
 
+#: Relative sigma_min floor for the denominator of :func:`mobius_act`.
+ACTION_RCOND = 1e-12
+
+
 def mobius_act(u: PairedBlocks, p: SignedMatrix) -> SignedMatrix:
     """Act on a graph coordinate; the result has the type of ``p``.
 
@@ -311,7 +318,7 @@ def mobius_act(u: PairedBlocks, p: SignedMatrix) -> SignedMatrix:
         raise DimensionMismatch("block size does not match the point")
     if u.sign != p.sign:
         raise ShapeViolation(f"blocks of sign {u.sign:+d} cannot act on {type(p).__name__}")
-    Z2 = mobius(u.a, u.b, p.Z, 1e-12, NumericallySingular, "denominator is singular")
+    Z2 = mobius(u.a, u.b, p.Z, ACTION_RCOND, NumericallySingular, "denominator is singular")
     return type(p)(Z2, atol=max(p.atol, 10.0 * BLOCK_TOL))
 
 

@@ -289,6 +289,10 @@ def complete_from_J_omega(
     return CompatibleTriple(g, J, omega, tol)
 
 
+#: Relative sigma_min floor for the map of :func:`pullback_triple`.
+PULLBACK_RCOND = 1e-12
+
+
 def pullback_triple(u, t: CompatibleTriple) -> CompatibleTriple:
     """Pull a triple back along an invertible real map ``u``.
 
@@ -303,8 +307,7 @@ def pullback_triple(u, t: CompatibleTriple) -> CompatibleTriple:
     u = as_real_matrix(u, square=True)
     if u.shape[0] != t.dim:
         raise DimensionMismatch(f"u has dim {u.shape[0]}, triple has {t.dim}")
-    check_invertible(u, 1e-12, SingularTransform, "u is singular")
-    uinv = np.linalg.solve(u, np.eye(t.dim))
+    uinv = check_invertible(u, PULLBACK_RCOND, SingularTransform, "u is singular")
     G = uinv.T @ t.G @ uinv
     Om = uinv.T @ t.Omega @ uinv
     J = u @ t.Jmat @ uinv

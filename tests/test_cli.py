@@ -888,6 +888,19 @@ class TestColdProcess:
             assert fh.read() == written
         assert json.loads(written)["pass"] is True
 
+    @pytest.mark.parametrize("args", [["torus-period", "--input", "{upper}"],
+                                      ["report-suite", "--input", SHIPPED_SUITE]],
+                             ids=["verb", "report-suite"])
+    def test_an_unwritable_output_is_a_format_error_report(self, paths, tmp_path, args):
+        missing = str(tmp_path / "no-such-directory" / "report.json")
+        args = [arg.format(**paths) for arg in args] + ["--output", missing]
+        proc = cold(args, capture_output=True)
+        assert (proc.returncode, proc.stdout) == warm(args)
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["error"] == "FormatError" and f"cannot write {missing}" in report["detail"]
+        assert b"Traceback" not in proc.stderr
+
     def test_seed_from_the_environment_matches_the_flag(self):
         args = ["report-suite", "--input", SHIPPED_SUITE]
         proc = cold(args, env={"POLARGRASS_SEED": "99"}, capture_output=True)

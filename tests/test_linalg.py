@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from polargrass import errors
+from polargrass import circle, errors, linalg, orthograss, siegel, triples
 from polargrass.errors import (
+    BlockSingular,
     FormatError,
     InvariantViolation,
     NonHermitian,
@@ -291,6 +292,86 @@ def test_right_divide_solves_and_guards(rng):
 def test_check_invertible_treats_nonfinite_as_singular(bad):
     with pytest.raises(NumericallySingular):
         check_invertible(np.array([[1.0, bad], [0.0, 1.0]]), 1e-12, NumericallySingular, "x")
+
+
+#: Every caller's invertibility threshold.
+RCONDS = sorted({circle._BLOCK_RCOND, circle.TRANSFORM_RCOND, orthograss.TRANSITION_RCOND,
+                 siegel.BLOCK_A_RCOND, siegel.ACTION_RCOND, triples.PULLBACK_RCOND})
+
+
+def prescribed(n: int, smax: float, smin: float, complex_: bool, rng) -> np.ndarray:
+    """``U diag(s) V*`` with ``s`` geometric from ``smax`` down to ``smin``
+    (just ``smin`` at n = 1) and U, V Haar-random, real or complex."""
+
+    def unitary():
+        m = rng.standard_normal((n, n))
+        return np.linalg.qr(m + 1j * rng.standard_normal((n, n)) if complex_ else m)[0]
+
+    s = np.geomspace(smax, smin, n) if n > 1 else np.array([smin])
+    return (unitary() * s) @ unitary().conj().T
+
+
+def count_svds(monkeypatch) -> list:
+    """A list that grows by one at each ``np.linalg.svd`` call, the SVD of the gate."""
+    calls, svd = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.np.linalg, "svd", counting)
+    return calls
+
+
+class TestCertifiedInvertibility:
+    """The LU certificate of :func:`check_invertible` decides as the SVD gate does."""
+
+    @pytest.mark.parametrize("rel", RCONDS)
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_decision_equals_the_svd_gate(self, monkeypatch, rel, complex_):
+        rng = np.random.default_rng(23)
+        svd = np.linalg.svd
+        gate_svds = count_svds(monkeypatch)
+        compared = 0
+        for n in range(1, 65):
+            smax = (0.5, 1.0, 7.0)[n % 3]
+            # sigma_min / max(1, sigma_max) from 1e-2 to 1e2 times the threshold
+            for ratio in np.geomspace(1e-2, 1e2, 8):
+                a = prescribed(n, smax, ratio * rel * max(1.0, smax), complex_, rng)
+                svals = svd(a, compute_uv=False)
+                bar = rel * max(1.0, svals.max())
+                if abs(svals.min() - bar) <= 1e-6 * bar:
+                    continue
+                try:
+                    inv = check_invertible(a, rel, NumericallySingular, "x")
+                except NumericallySingular as exc:
+                    assert svals.min() < bar and "sigma_min" in str(exc)
+                else:
+                    assert svals.min() > bar
+                    assert np.array_equal(inv, np.linalg.inv(a))
+                compared += 1
+        # both routes decided: the bound for the well-conditioned, the SVD near the threshold
+        assert compared >= 500 and 100 <= len(gate_svds) <= compared - 100
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)), np.ones((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                   np.outer([1.0, 1j], [1j, 2.0]), np.array([[1.0, np.inf], [0.0, 1.0]]),
+                                   np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros((0, 0))],
+                             ids=["zero", "ones", "rank-one", "complex-rank-one", "inf", "nan", "empty"])
+    def test_singular_and_non_finite_raise_naming_sigma_min(self, a):
+        with pytest.raises(NumericallySingular, match="x: sigma_min"):
+            check_invertible(a, 1e-12, NumericallySingular, "x")
+
+    @pytest.mark.parametrize("build, calls", [
+        (lambda: circle.grunsky(circle.rotation_diffeo(0.4), 64), 0),
+        (lambda: circle.composition_blocks(circle.fourier_flow_diffeo([(2, 0.45)]), 48), 1),
+    ], ids=["rotation-64", "flow-0.45-48"])
+    def test_the_svd_runs_only_where_the_bound_cannot_decide(self, monkeypatch, build, calls):
+        seen = count_svds(monkeypatch)
+        try:
+            build()
+        except BlockSingular as exc:
+            assert "sigma_min" in str(exc)
+        assert len(seen) == calls
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -1,6 +1,7 @@
 """Wire-format tests: canonical emission, exact round-trips, strict readers."""
 
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -246,6 +247,25 @@ class TestArrayRoute:
         assert array_route(as_pairs(values)) == pairs_reference(as_pairs(values))
         assert array_route([[-0.0, 0.0]]) == "[[-0,0]]"
 
+    def test_prescale_switches_and_range_ends(self):
+        # decades from _PRESCALE_K up and from -_PRESCALE_K down are prescaled
+        # by a power of two: the switches lie at 10^K and 10^(1 - K)
+        top = 1.7976931348623157e308
+        values = [5e-324, *neighbours(2.2250738585072014e-308), np.nextafter(top, 0), top]
+        switches = [10.0**serialize._PRESCALE_K, 10.0 ** (1 - serialize._PRESCALE_K)]
+        for switch in switches:
+            e = math.floor(math.log2(switch))
+            values += [v for p in range(e - 1, e + 3) for v in neighbours(2.0**p)]
+        assert serialize._digits(as_pairs(values).reshape(-1))[0].all()  # none through %
+        # a double next to a power of ten may take the % route, if log10 rounds across it
+        values += [v for switch in switches for v in neighbours(switch)]
+        assert array_route(as_pairs(values)) == pairs_reference(as_pairs(values))
+
+    @pytest.mark.parametrize("spec, N", SWEEP_MAPS, ids=[f"{s['kind']}-{N}" for s, N in SWEEP_MAPS])
+    def test_no_entry_of_a_sweep_point_falls_back(self, spec, N):
+        pairs = serialize._matrix(grunsky(diffeo_from_spec(spec), N).Z)["data"]
+        assert serialize._digits(pairs.reshape(-1))[0].all()
+
     def test_random_bit_patterns(self):
         bits = np.random.default_rng(14).integers(0, 2**64, size=10**6, dtype=np.uint64)
         flat = bits.view(np.float64)
@@ -315,7 +335,7 @@ COLD_SCRIPT = """
 import json
 from polargrass import cli, serialize
 built = [serialize._tables.cache_info().currsize]
-for N in (16, 64):
+for N in (8, 64):
     report, _ = cli.run_verb(
         "grunsky", {"diffeo": {"kind": "rotation", "delta": 0.3}, "cutoff": N}, cli.Options())
     serialize.dumps_canonical(report)
