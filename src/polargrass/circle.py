@@ -15,8 +15,6 @@ the zero mode is excluded throughout.
 
 from __future__ import annotations
 
-import cmath
-import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -39,7 +37,7 @@ from .polarization import (
     OrthogonalPolarization,
     complexify,
 )
-from .serialize import _check_keys, _entry
+from .serialize import _check_keys, _entry, integer, number
 from .siegel import SiegelPoint, UpperHalfPoint, mobius
 from .triples import CompatibleTriple, planar_triple
 
@@ -233,7 +231,7 @@ def diffeo_from_spec(spec: dict) -> CircleDiffeo:
     """Build a diffeomorphism from its JSON description (``diffeo.v1``).
 
     Raises FormatError for an unknown kind, a missing or foreign key, or an
-    entry of the wrong type.
+    entry of the wrong type or not finite.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise FormatError("diffeo spec must be an object with a 'kind' key")
@@ -244,19 +242,14 @@ def diffeo_from_spec(spec: dict) -> CircleDiffeo:
     _check_keys(spec, ("kind", key))
     value = spec[key]
     if kind == "rotation":
-        real = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (real and abs(value) <= sys.float_info.max):
-            raise FormatError(f"delta must be a finite number, got {value!r}")
-        return rotation_diffeo(value)
+        return rotation_diffeo(number(value, "delta"))
     if kind == "mobius":
-        if not cmath.isfinite(a := _entry(value)):
-            raise FormatError(f"a must be finite, got {value!r}")
-        return mobius_diffeo(a)
+        return mobius_diffeo(_entry(value))
     if not isinstance(value, list):
         raise FormatError(f"coeffs must be a list of [k, amp] pairs, got {value!r}")
     for pair in value:
-        if not cmath.isfinite(_entry(pair)) or not isinstance(pair[0], int):
-            raise FormatError(f"coeffs need finite [k, amp] pairs with integer k, got {pair!r}")
+        _entry(pair)
+        integer(pair[0], "the mode k of a [k, amp] pair")
     return fourier_flow_diffeo(value)
 
 

@@ -55,41 +55,24 @@ MAX_CHART_ATOL = 1e-6
 Options = Tolerances
 
 
-def _options(obj, given) -> tuple[object, Tolerances]:
-    """The input object and tolerances of one verb call, from its flags
-    or its scenario's keys (``given``; an absent key is an unset option).
+def _tolerances(given) -> Tolerances:
+    """The tolerances of one verb call, from its flags or its scenario's
+    keys (``given``; an absent key is an unset option): ``tol_eq`` and
+    ``tol_spd`` are finite numbers (:func:`serialize.number`), positive as
+    :class:`Tolerances` checks."""
+    return Tolerances(**{
+        field: se.number(given[key], key)
+        for key, field in (("tol_eq", "eq_tol"), ("tol_spd", "spd_tol"))
+        if key in given
+    })
 
-    ``cutoff``/``quadrature`` become keys of a dict input, overriding its
-    own, in a new dict; a handler refuses them if its input takes no such
-    key.  ``tol_eq``/``tol_spd`` must be numbers, not booleans."""
+
+def _with_options(obj, given):
+    """``obj`` with ``given``'s ``cutoff``/``quadrature`` as its keys,
+    overriding its own, in a new dict; a handler refuses them if its input
+    takes no such key."""
     keys = {k: given[k] for k in ("cutoff", "quadrature") if k in given}
-    if keys and isinstance(obj, dict):
-        obj = {**obj, **keys}
-    tol = {}
-    for key, field in (("tol_eq", "eq_tol"), ("tol_spd", "spd_tol")):
-        if key in given:
-            value = given[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise FormatError(f"{key} must be a number, got {value!r}")
-            tol[field] = float(value)
-    return obj, Tolerances(**tol)
-
-
-def _seed(value, what: str) -> int:
-    """A seed as ``numpy.random.default_rng`` takes it: an integer (not a
-    boolean) of at least 0."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise FormatError(f"{what} must be a non-negative integer, got {value!r}")
-    return value
-
-
-def _int_option(obj: dict, key: str, default: int, least: int) -> int:
-    """``cutoff``/``quadrature``: the input's key, else ``default``; an
-    integer (not a boolean) of at least ``least``."""
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise FormatError(f"{key} must be an integer >= {least}, got {value!r}")
-    return value
+    return {**obj, **keys} if keys and isinstance(obj, dict) else obj
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +205,8 @@ def _verb_grunsky(obj, tol: Tolerances) -> dict:
     from .siegel import CONTRACTION_MARGIN
 
     se._check_keys(obj, ("diffeo",), ("cutoff", "quadrature"))
-    N = _int_option(obj, "cutoff", 32, 1)
-    K = _int_option(obj, "quadrature", 16 * N, 1)
+    N = se.integer(obj.get("cutoff", 32), "cutoff", 1)
+    K = se.integer(obj.get("quadrature", 16 * N), "quadrature", 1)
     phi = diffeo_from_spec(obj["diffeo"])
     p = grunsky(phi, N, K)
     # the gates the point passed, read again from the numbers it kept
@@ -277,10 +260,10 @@ def _verb_chart_transition(obj, tol: Tolerances) -> dict:
     from .orthograss import OrthoGraphOperator, transition
 
     se._check_keys(obj, ("Z", "source", "target"), ("atol",))
-    atol = obj.get("atol", 1e-10)
-    if not isinstance(atol, (int, float)) or isinstance(atol, bool) or not 0 < atol <= MAX_CHART_ATOL:
+    atol = se.number(obj.get("atol", 1e-10), "atol")
+    if not 0 < atol <= MAX_CHART_ATOL:
         raise FormatError(f"atol must be a positive number at most {MAX_CHART_ATOL:g}, got {atol!r}")
-    Z1 = OrthoGraphOperator(se.matrix_from_json(obj["Z"]), atol=float(atol))
+    Z1 = OrthoGraphOperator(se.matrix_from_json(obj["Z"]), atol=atol)
     S1 = se.chart_index_from_json(obj["source"])
     S2 = se.chart_index_from_json(obj["target"])
     Z2 = transition(S1, S2, Z1)
@@ -306,7 +289,7 @@ def _verb_fock_car(obj, tol: Tolerances) -> dict:
         se._check_keys(obj, ("model",), ("cutoff",))
         if obj["model"] != "fermion":
             raise FormatError(f'only the "fermion" model is built in, got {obj["model"]!r}')
-        N = _int_option(obj, "cutoff", 3, 0)
+        N = se.integer(obj.get("cutoff", 3), "cutoff", 0)
         check_modes(N + 1)
         pol = fermion_polarization(N)
         inputs = {"model": "fermion", "cutoff": N}
@@ -416,13 +399,35 @@ _SCENARIO_OPTIONAL = (
 )
 
 
+def _read_scenario(scen, seed: int) -> tuple[int, Tolerances]:
+    """The seed (``seed`` unless the scenario sets one) and tolerances of a
+    scenario, each of its keys checked; nothing is generated or run."""
+    from .sampling import read_recipe
+
+    se._check_keys(scen, _SCENARIO_KEYS, _SCENARIO_OPTIONAL)
+    name, verb = scen["name"], scen["verb"]
+    if not isinstance(name, str) or not isinstance(verb, str):
+        raise FormatError("scenario name and verb must be strings")
+    if verb not in _HANDLERS:
+        raise FormatError(f"unknown verb {verb!r}")
+    if ("input" in scen) == ("generate" in scen):
+        raise FormatError(f"scenario {name!r} needs exactly one of input/generate")
+    if "generate" in scen:
+        read_recipe(scen["generate"])
+    expected = scen.get("expect_error")
+    if expected is not None and not isinstance(expected, str):
+        raise FormatError(f"scenario {name!r} expect_error must be a string")
+    return se.integer(scen.get("seed", seed), f"scenario {name!r} seed", 0), _tolerances(scen)
+
+
 def run_suite(config: dict, seed_override: int | None = None) -> tuple[dict, int]:
     """Run every scenario of a suite config and aggregate in declared order.
 
     Scenario seeds default to ``suite_seed + position`` so a single
     64-bit seed pins the whole run; per-scenario ``seed`` keys override.
     A scenario with ``expect_error`` counts as passed exactly when the
-    named error occurs.
+    named error occurs.  Every scenario is read before the first runs, so
+    a malformed config raises FormatError having run nothing.
     """
     from .sampling import generate_input
 
@@ -430,27 +435,21 @@ def run_suite(config: dict, seed_override: int | None = None) -> tuple[dict, int
     scenarios = config["scenarios"]
     if not isinstance(scenarios, list):
         raise FormatError("scenarios must be a list")
-    suite_seed = seed_override if seed_override is not None else config.get("seed", 0)
-    _seed(suite_seed, "seed")
+    suite_seed = se.integer(
+        seed_override if seed_override is not None else config.get("seed", 0), "seed", 0
+    )
+    settings = [_read_scenario(scen, suite_seed + pos) for pos, scen in enumerate(scenarios)]
 
     entries = []
     counts = {"total": 0, "passed": 0, "failed": 0, "expected_failures": 0}
-    for pos, scen in enumerate(scenarios):
-        se._check_keys(scen, _SCENARIO_KEYS, _SCENARIO_OPTIONAL)
+    for scen, (scen_seed, tol) in zip(scenarios, settings):
         name, verb = scen["name"], scen["verb"]
-        if not isinstance(name, str) or not isinstance(verb, str):
-            raise FormatError("scenario name and verb must be strings")
-        if ("input" in scen) == ("generate" in scen):
-            raise FormatError(f"scenario {name!r} needs exactly one of input/generate")
-        scen_seed = _seed(scen.get("seed", suite_seed + pos), f"scenario {name!r} seed")
         if "generate" in scen:
             obj = generate_input(scen["generate"], np.random.default_rng(scen_seed))
         else:
             obj = scen["input"]
-        report, code = run_verb(verb, *_options(obj, scen))
+        report, code = run_verb(verb, _with_options(obj, scen), tol)
         expected = scen.get("expect_error")
-        if expected is not None and not isinstance(expected, str):
-            raise FormatError(f"scenario {name!r} expect_error must be a string")
         if expected is None:
             status = "passed" if code == 0 else "failed"
         elif report.get("error") == expected:
@@ -516,7 +515,7 @@ def _verb_command(verb: str, input_path: str, output_path: str | None, given: di
         return _error_report(verb, exc)
 
     try:
-        obj, tol = _options(se.load_json(input_path), given)
+        obj, tol = _with_options(se.load_json(input_path), given), _tolerances(given)
     except FormatError as exc:
         return _write_out(failed(exc), output_path, f"{verb}: error", 1, failed)
     report, code = run_verb(verb, obj, tol)
@@ -575,7 +574,7 @@ def _parser(prog_name: str | None = None) -> argparse.ArgumentParser:
                 help="overrides the config seed (env: POLARGRASS_SEED)",
             )
             continue
-        # an option not given is left off the namespace: see _options
+        # an option not given is left off the namespace: see _tolerances
         sub.add_argument("--tol-eq", type=float, default=argparse.SUPPRESS)
         sub.add_argument("--tol-spd", type=float, default=argparse.SUPPRESS)
         if verb in ("grunsky", "fock-car"):

@@ -25,8 +25,23 @@ __all__ = [
     "random_invertible",
     "random_contraction",
     "random_symplectic",
+    "GENERATE_BYTES",
+    "MAX_GENERATE_N",
+    "read_recipe",
     "generate_input",
 ]
+
+#: Byte budget of the largest matrix a ``generate`` recipe builds: the
+#: ``2n x 2n`` complex matrix of a triple member or a frame's ambient
+#: rotation, 64 n^2 bytes.
+GENERATE_BYTES = 1 << 18
+
+#: Largest generated size ``n`` whose ``2n x 2n`` complex matrix fits
+#: :data:`GENERATE_BYTES`: 64, twice the largest size the shipped suite, the
+#: tests and the benchmark workloads generate.  Far above it the recipes stop
+#: working anyway: the pullback recipes' random invertible matrix is too
+#: ill-conditioned for the triple's gates at n = 112 for 9 seeds in 10.
+MAX_GENERATE_N = math.isqrt(GENERATE_BYTES // np.dtype(np.complex128).itemsize) // 2
 
 
 # The [13/13] Pade approximant of exp and the 1-norm up to which it is
@@ -97,13 +112,10 @@ def _pullback(n: int, rng: np.random.Generator) -> CompatibleTriple:
     return pullback_triple(random_invertible(2 * n, rng), standard_triple(n))
 
 
-def generate_input(spec: dict, rng: np.random.Generator) -> dict:
-    """Build a verb input object from a scenario ``generate`` block.
-
-    The block names a recipe (``make``) plus its size parameters; the
-    result is an ordinary JSON input object, so generated scenarios pass
-    through exactly the same parsing path as hand-written ones.
-    """
+def read_recipe(spec) -> tuple[str, int]:
+    """The recipe name and size ``n`` of a scenario ``generate`` block, each
+    of its keys checked (``n`` from 1 to :data:`MAX_GENERATE_N`); nothing is
+    built."""
     if not isinstance(spec, dict) or "make" not in spec:
         raise FormatError("generate block must be an object with a 'make' key")
     make = spec.get("make")
@@ -117,25 +129,32 @@ def generate_input(spec: dict, rng: np.random.Generator) -> dict:
         "symplectic_action",
         "orthogonal_subspace",
     }
-    if make not in known:
+    if not isinstance(make, str) or make not in known:
         raise FormatError(f"unknown generate recipe {make!r}")
     extra = set(spec) - {"make", "n", "omit"}
     if extra:
         raise FormatError(f"unknown generate keys {sorted(extra)}")
-    n = spec.get("n", 4)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise FormatError(f"generate size n must be a positive integer, got {n!r}")
+    n = se.integer(spec.get("n", 4), "generate size n", 1, MAX_GENERATE_N)
+    if make == "partial_triple" and spec.get("omit") not in ("g", "J", "omega"):
+        raise FormatError(f"omit must be one of g/J/omega, got {spec.get('omit')!r}")
+    return make, n
 
+
+def generate_input(spec: dict, rng: np.random.Generator) -> dict:
+    """Build a verb input object from a scenario ``generate`` block.
+
+    The block names a recipe (``make``) plus its size parameters; the
+    result is an ordinary JSON input object, so generated scenarios pass
+    through exactly the same parsing path as hand-written ones.
+    """
+    make, n = read_recipe(spec)
     if make == "standard_triple":
         return se.triple_to_json(standard_triple(n))
     if make == "pullback_triple":
         return se.triple_to_json(_pullback(n, rng))
     if make == "partial_triple":
-        omit = spec.get("omit")
-        if omit not in ("g", "J", "omega"):
-            raise FormatError(f"omit must be one of g/J/omega, got {omit!r}")
         obj = se.triple_to_json(_pullback(n, rng))
-        del obj[omit]
+        del obj[spec["omit"]]
         return obj
     if make == "negated_structure":
         t = _pullback(n, rng)

@@ -7,7 +7,8 @@ All matrix-valued objects share one wire format,
 with ``data`` row-major and every entry an explicit ``[re, im]`` pair.
 Forms and complex structures add a ``"kind"`` tag, frames an
 ``"ambient_dim"``, disk/half-space points a ``"model"`` tag, and chart
-indices are plain sorted integer lists.
+indices are plain sorted integer lists.  :func:`integer` and :func:`number`
+are the one check of every integer and number read from outside.
 
 Output goes through :func:`dumps_canonical`, which emits floats with 17
 significant digits (enough to round-trip any double exactly) and sorts
@@ -39,6 +40,8 @@ if TYPE_CHECKING:
     from .orthograss import ChartIndex
 
 __all__ = [
+    "integer",
+    "number",
     "dumps_canonical",
     "load_json",
     "save_json",
@@ -337,17 +340,46 @@ def save_json(obj, path) -> None:
 
 
 def load_json(path):
+    """The JSON value in the file at ``path``; FormatError if it cannot be
+    read or decoded (invalid JSON or UTF-8, an integer of more digits than
+    ``sys.get_int_max_str_digits()``: ValueError; deep nesting: RecursionError)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # object readers/writers
+
+
+def integer(value, what: str, least: int | None = None, most: int | None = None) -> int:
+    """``value`` if it is an integer, not a boolean, in ``[least, most]`` (a
+    bound of None is open); else FormatError naming ``what`` and the rule."""
+    if isinstance(value, bool) or not isinstance(value, int) or not (
+            (least is None or least <= value) and (most is None or value <= most)):
+        rule = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
+        if most is not None:
+            rule += f" at most {most}"
+        raise FormatError(f"{what} must be {rule}, got {value!r}")
+    return value
+
+
+def number(value, what: str) -> float:
+    """``value`` as a finite double if it is a number, not a boolean, that
+    converts to one (an integer past the double range does not); else
+    FormatError naming ``what``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(x := float(value)):
+                return x
+        except OverflowError:
+            pass
+    raise FormatError(f"{what} must be a finite number, got {value!r}")
 
 
 def _check_keys(obj, required: tuple, optional: tuple = ()) -> None:
@@ -361,17 +393,13 @@ def _check_keys(obj, required: tuple, optional: tuple = ()) -> None:
         raise FormatError(f"unknown keys {unknown}")
 
 
+_PART = "each [re, im] part"  # what :func:`number` names in an entry
+
+
 def _entry(pair) -> complex:
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-    ):
+    if not isinstance(pair, list) or len(pair) != 2:
         raise FormatError(f"entries must be [re, im] pairs of numbers, got {pair!r}")
-    try:
-        return complex(pair[0], pair[1])
-    except OverflowError:
-        raise FormatError(f"entry {pair!r} does not fit a double") from None
+    return complex(number(pair[0], _PART), number(pair[1], _PART))
 
 
 def _matrix(mat) -> dict:
@@ -400,9 +428,7 @@ def matrix_from_json(obj, extra: tuple = ()) -> np.ndarray:
     ``"model"``, ...); anything else unknown is rejected.
     """
     _check_keys(obj, ("rows", "cols", "data"), extra)
-    rows, cols = obj["rows"], obj["cols"]
-    if any(isinstance(x, bool) or not isinstance(x, int) or x < 1 for x in (rows, cols)):
-        raise FormatError(f"rows/cols must be positive integers, got {rows!r}, {cols!r}")
+    rows, cols = integer(obj["rows"], "rows", 1), integer(obj["cols"], "cols", 1)
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows * cols:
         raise FormatError(
@@ -414,10 +440,10 @@ def matrix_from_json(obj, extra: tuple = ()) -> np.ndarray:
 def _entries(data: list) -> np.ndarray:
     """The complex entries of a non-empty list of ``[re, im]`` pairs.
 
-    Lists of two plain ints or floats take one conversion; any other entry
-    (a subclass such as ``bool``, a string, a short or long pair) and an int
-    beyond the double range take the per-entry loop, which names the first
-    bad entry.
+    Lists of two plain ints or floats take one conversion, and the first part
+    that is not finite is named there; any other entry (a subclass such as
+    ``bool``, a string, a short or long pair) and an int beyond the double
+    range take the per-entry loop, which names the first bad entry.
     """
     if (
         set(map(type, data)) == {list}
@@ -425,9 +451,14 @@ def _entries(data: list) -> np.ndarray:
         and set(map(type, chain.from_iterable(data))) <= {int, float}
     ):
         try:
-            return np.array(data, dtype=np.float64).view(np.complex128)[:, 0]
+            parts = np.array(data, dtype=np.float64)
         except OverflowError:
             pass
+        else:
+            finite = np.isfinite(parts)
+            if finite.all():
+                return parts.view(np.complex128)[:, 0]
+            number(float(parts.flat[np.argmin(finite)]), _PART)  # raises, as _entry would
     return np.array([_entry(p) for p in data], dtype=np.complex128)
 
 
@@ -491,9 +522,7 @@ def frame_to_json(frame: Frame) -> dict:
 
 def frame_from_json(obj) -> Frame:
     mat = matrix_from_json(obj, extra=("ambient_dim",))
-    ambient = obj.get("ambient_dim")
-    if isinstance(ambient, bool) or not isinstance(ambient, int):
-        raise FormatError(f"ambient_dim must be an integer, got {ambient!r}")
+    ambient = integer(obj.get("ambient_dim"), "ambient_dim")
     if ambient != mat.shape[0]:
         raise DimensionMismatch(
             f"ambient_dim {ambient!r} does not match {mat.shape[0]} rows"

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from polargrass import circle, cli, polarization
+from polargrass import circle, cli, polarization, sampling
 from polargrass.circle import CircleDiffeo
 from polargrass.cli import main
 from polargrass.errors import FormatError
@@ -536,6 +536,18 @@ class TestFockVerb:
         assert report_of(result)["error"] == "FormatError"
 
 
+def counted_handler(monkeypatch, verb):
+    """The inputs ``verb``'s handler is called with, from now on."""
+    calls, handler = [], cli._HANDLERS[verb]
+
+    def counted(obj, tol):
+        calls.append(obj)
+        return handler(obj, tol)
+
+    monkeypatch.setitem(cli._HANDLERS, verb, counted)
+    return calls
+
+
 class TestReportSuite:
     def test_shipped_suite_passes(self, runner, tmp_path):
         out = tmp_path / "agg.json"
@@ -645,6 +657,36 @@ class TestReportSuite:
         with pytest.raises(FormatError, match="generate size n"):
             cli.run_suite({"scenarios": [scenario]})
 
+    @pytest.mark.parametrize(
+        "second",
+        [
+            {"name": "b", "verb": "torus-period"},
+            {"name": "b", "verb": "torus-periods", "input": {}},
+            {"name": "b", "verb": "torus-period", "input": {"tau": [0.5, 0.5]}, "tol_eq": "x"},
+            {"name": "b", "verb": "torus-period", "input": {"tau": [0.5, 0.5]}, "seed": -1},
+            {"name": "b", "verb": "torus-period", "input": {"tau": [0.5, 0.5]}, "expect_error": 1},
+            {"name": "b", "verb": "triple-verify", "generate": {"make": "standard_triple", "n": 65}},
+            {"name": "b", "verb": "triple-verify", "generate": {"make": "partial_triple"}},
+        ],
+        ids=["no-input", "unknown-verb", "tol-eq", "seed", "expect-error", "generate-n", "omit"],
+    )
+    def test_every_scenario_is_read_before_the_first_runs(self, monkeypatch, second):
+        calls = counted_handler(monkeypatch, "siegel-member")
+        first = {"name": "a", "verb": "siegel-member", "input": matrix_to_json(np.eye(1) * 0.1)}
+        with pytest.raises(FormatError):
+            cli.run_suite({"scenarios": [first, second]})
+        assert calls == []
+        cli.run_suite({"scenarios": [first]})
+        assert len(calls) == 1
+
+    def test_a_non_string_expect_error_is_refused_before_its_verb_runs(self, monkeypatch):
+        calls = counted_handler(monkeypatch, "torus-period")
+        scenario = {"name": "t", "verb": "torus-period", "input": {"tau": [0.5, 0.5]},
+                    "expect_error": ["NotUpperHalf"]}
+        with pytest.raises(FormatError, match="expect_error must be a string"):
+            cli.run_suite({"scenarios": [scenario]})
+        assert calls == []
+
     def test_unknown_scenario_key_rejected(self, runner, tmp_path):
         config = {"scenarios": [{"name": "x", "verb": "torus-period", "payload": {}}]}
         path = tmp_path / "cfg.json"
@@ -692,6 +734,23 @@ class TestConfigSchemas:
             jsonschema.validate(config, schema("suite_config.v1.json"))
         with pytest.raises(FormatError, match="non-negative integer"):
             cli.run_suite(config)
+
+    def test_schema_and_builder_agree_on_the_generate_cap(self):
+        cap = sampling.MAX_GENERATE_N
+        items = schema("suite_config.v1.json")["properties"]["scenarios"]["items"]
+        assert items["properties"]["generate"]["properties"]["n"]["maximum"] == cap == 64
+
+        def config(n):
+            return {"scenarios": [{"name": "cap", "verb": "siegel-member",
+                                   "generate": {"make": "siegel_point", "n": n}}]}
+
+        jsonschema.validate(config(cap), schema("suite_config.v1.json"))
+        agg, code = cli.run_suite(config(cap))
+        assert code == 0 and agg["scenarios"][0]["report"]["inputs"]["n"] == cap
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(config(cap + 1), schema("suite_config.v1.json"))
+        with pytest.raises(FormatError, match="generate size n must be .* at most 64, got 65"):
+            cli.run_suite(config(cap + 1))
 
     def test_cutoff_zero_grunsky_scenario_fails_at_run_time(self):
         config = {
@@ -921,6 +980,12 @@ class TestColdProcess:
         "scenario-tol-spd-string": (["report-suite"], {"scenarios": [{**GENERATED, "tol_spd": "x"}]}),
         "config-seed": (["report-suite"], {"seed": -1, "scenarios": [GENERATED]}),
         "scenario-seed": (["report-suite"], {"scenarios": [{**GENERATED, "seed": -3}]}),
+        "scenario-tol-eq-10**400": (["report-suite"],
+                                    {"scenarios": [{**GENERATED, "tol_eq": 10**400}]}),
+        "generate-n-10**6": (["report-suite"], {"scenarios": [
+            {**GENERATED, "generate": {"make": "standard_triple", "n": 10**6}}]}),
+        "generate-n-10**400": (["report-suite"], {"scenarios": [
+            {**GENERATED, "generate": {"make": "standard_triple", "n": 10**400}}]}),
         "seed-flag": (["report-suite", "--seed=-1"], None),
         "seed-env": (["report-suite"], None),
     }
@@ -937,6 +1002,25 @@ class TestColdProcess:
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stdout)["error"] == "FormatError"
         assert b"Traceback" not in proc.stderr
+
+    #: Files that ``json`` cannot decode, each raising something other than
+    #: ``JSONDecodeError``.
+    UNDECODABLE = {
+        "deep": b"[" * 100000 + b"]" * 100000,
+        "not-utf-8": b'{"tau": [0.5, 0.5\xff]}',
+        "5000-digits": b'{"tau": [' + b"9" * 5000 + b", 1.0]}",
+    }
+
+    @pytest.mark.parametrize("verb", ["torus-period", "report-suite"])
+    @pytest.mark.parametrize("case", list(UNDECODABLE))
+    def test_an_input_that_does_not_decode_is_a_format_error_report(self, tmp_path, case, verb):
+        path = tmp_path / "input.json"
+        path.write_bytes(self.UNDECODABLE[case])
+        proc = cold([verb, "--input", str(path)], capture_output=True)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        report = json.loads(proc.stdout)
+        assert report["error"] == "FormatError"
+        assert report["detail"].startswith(f"{path} is not valid JSON: ")
 
     @pytest.mark.parametrize(
         "verb, payload",

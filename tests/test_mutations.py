@@ -2,7 +2,8 @@
 
 Each scenario input of the shipped suite (generated ones from the suite's
 own seeds) is mutated one place at a time: each key dropped, each integer
-replaced by a boolean and by 0, each number replaced by 1e300, each
+replaced by a boolean and by 0, each number replaced by 1e300 and by the
+integer 10**400 (past the double range), each
 ``[re, im]``-shaped pair cut short and lengthened, and an unknown key added
 to each object.  A mutated input may still pass; what is checked is that a
 failure names a ``PolargrassError`` subclass and that the report, like
@@ -81,6 +82,7 @@ def _mutations(obj):
             yield f"drop {path}", _edit(obj, path, lambda p, k: p.pop(k))
         if _is_number(value):
             yield f"1e300 at {path}", _edit(obj, path, _set(1e300))
+            yield f"10**400 at {path}", _edit(obj, path, _set(10**400))
         if isinstance(value, int) and not isinstance(value, bool):
             yield f"true at {path}", _edit(obj, path, _set(True))
             yield f"0 at {path}", _edit(obj, path, _set(0))
@@ -113,8 +115,8 @@ def test_mutated_inputs_fail_by_name(pos):
 
 
 BAD_SEEDS = (-1, True, "x")
-BAD_TOLS = (-1, 0, "x", [1], True)
-BAD_SIZES = (True, -1, "x")
+BAD_TOLS = (-1, 0, "x", [1], True, 10**400)
+BAD_SIZES = (True, -1, "x", 10**400)
 
 
 def _scenario_mutations(scen):
@@ -123,7 +125,7 @@ def _scenario_mutations(scen):
         for value in values:
             yield f"{key}={value!r}", {**scen, key: value}
     if "generate" in scen:
-        for value in (True, 0):
+        for value in (True, 0, 10**400):
             yield f"generate.n={value!r}", {**scen, "generate": {**scen["generate"], "n": value}}
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -450,6 +451,91 @@ class TestMatrixReader:
     def test_subclass_entries_take_the_loop(self):
         data = [[np.float64(0.25), 1], [0.5, np.float64(-0.0)]]
         assert reader_outcome(one_column, data) == reader_outcome(per_entry, data)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+    def test_a_part_that_is_not_finite_is_refused(self, bad, part):
+        # a NaN imaginary part of a real form was read, then dropped as zero
+        obj = form_to_json(standard_triple(1).g)
+        obj["data"][1][part] = bad
+        with pytest.raises(FormatError, match="each \\[re, im\\] part must be a finite number"):
+            form_from_json(json.loads(json.dumps(obj)))
+
+
+class TestReaders:
+    """``integer`` and ``number``: the one check of each rule for values read
+    from outside."""
+
+    @pytest.mark.parametrize(
+        "value", [True, False, 2.0, -0.0, float("nan"), float("inf"), -float("inf"), "3", None, [3]]
+    )
+    def test_integer_refuses_what_is_not_an_integer(self, value):
+        with pytest.raises(FormatError, match=r"^size must be an integer, got "):
+            serialize.integer(value, "size")
+
+    @pytest.mark.parametrize("value", [0, -(10**400), 10**400, 2**64],
+                             ids=["0", "-10**400", "10**400", "2**64"])
+    def test_integer_takes_any_integer_without_bounds(self, value):
+        assert serialize.integer(value, "size") == value
+
+    @pytest.mark.parametrize(
+        "least, most, good, bad, rule",
+        [
+            (0, None, [0, 10**400], [-1, -(10**400)], "a non-negative integer"),
+            (1, None, [1, 2], [0, -1], "a positive integer"),
+            (3, None, [3], [2], "an integer >= 3"),
+            (1, 64, [1, 64], [0, 65, 10**400], "a positive integer at most 64"),
+            (None, 5, [-(10**400), 5], [6], "an integer at most 5"),
+        ],
+        ids=["least-0", "least-1", "least-3", "least-1-most-64", "most-5"],
+    )
+    def test_integer_bounds(self, least, most, good, bad, rule):
+        for value in good:
+            assert serialize.integer(value, "size", least, most) == value
+        for value in bad + [True, 2.0]:
+            with pytest.raises(FormatError, match=f"^size must be {rule}, got "):
+                serialize.integer(value, "size", least, most)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(2, 2.0), (-3, -3.0), (0.25, 0.25), (2**1024 - 2**970 - 1, sys.float_info.max),
+         (-(2**1024 - 2**970 - 1), -sys.float_info.max), (5e-324, 5e-324)],
+        ids=["2", "-3", "0.25", "largest-int", "-largest-int", "5e-324"],
+    )
+    def test_number_is_the_double(self, value, expected):
+        got = serialize.number(value, "tol")
+        assert type(got) is float and got == expected
+
+    def test_number_keeps_the_sign_of_zero(self):
+        assert math.copysign(1.0, serialize.number(-0.0, "tol")) == -1.0
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, 10**400, -(10**400), 2**1024 - 2**970, float("nan"), float("inf"),
+         -float("inf"), "1", None, [1.0]],
+        ids=["true", "false", "10**400", "-10**400", "rounds-to-inf", "nan", "inf", "-inf",
+             "string", "null", "list"],
+    )
+    def test_number_refuses_what_is_not_a_finite_double(self, value):
+        with pytest.raises(FormatError, match=r"^tol must be a finite number, got "):
+            serialize.number(value, "tol")
+
+    def test_json_literals_that_are_not_finite_are_refused(self):
+        for text in ("NaN", "Infinity", "-Infinity"):
+            with pytest.raises(FormatError):
+                serialize.number(json.loads(text), "tol")
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"[" * 100000 + b"]" * 100000, b'{"tau": [0.5, 0.5\xff]}',
+         b'{"tau": [' + b"9" * 5000 + b', 1.0]}'],
+        ids=["deep", "not-utf-8", "5000-digits"],
+    )
+    def test_every_decode_failure_is_a_format_error(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))} is not valid JSON: "):
+            load_json(path)
 
 
 class TestTaggedObjects:
